@@ -7,6 +7,7 @@ Library layout:
     metrics    Gram matrix, noise-amplification cost, set diagnostics
     optimize   gradient descent on the product of state spheres
     fibersim   simulated modal-dispersion / mode-dependent-loss measurement
+    parallel   process-pool fan-out with an explicit worker count
     cli        command-line front end (`stokesopt ...`)
 """
 from __future__ import annotations

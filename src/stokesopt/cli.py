@@ -56,6 +56,7 @@ from .optimize import (
     jitter_set,
     multi_start,
 )
+from .parallel import resolve_workers
 from .sets import (
     LaunchSet,
     canonicalize_phases,
@@ -226,6 +227,11 @@ def _starts_rows(runs) -> list:
     return rows
 
 
+def _cli_workers() -> int:
+    """Pool width for the CLI: STOKES_OPT_THREADS, else every core."""
+    return resolve_workers(None, default=os.cpu_count() or 1)
+
+
 _STARTS_HEADER = ("start,algorithm,initial_xi,final_xi,grad_norm,"
                   "iterations,phase1_iterations,converged,aborted,stop_reason")
 
@@ -242,7 +248,8 @@ def cmd_optimize(args) -> int:
 
     if args.init == "random":
         try:
-            result = multi_start(args.n, starts=args.starts, config=config)
+            result = multi_start(args.n, starts=args.starts, config=config,
+                                 workers=_cli_workers())
         except SearchFailedError:
             _write_manifest(args, [set_path], started)
             raise
@@ -427,7 +434,7 @@ def _simulate_md(doc, fiber, scenario_path, where, args):
     seed = doc.get("seed", 0)
     measurement = doc.get("measurement", "analytic")
     res = fibersim.monte_carlo_md(fiber, ls, rx, trials, seed=seed,
-                                  mode=measurement)
+                                  mode=measurement, workers=_cli_workers())
     mt = metrics(ls)
     summary = {
         "mode": "md", "n": fiber.n, "trials": trials,
@@ -641,8 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if "STOKES_OPT_THREADS" not in os.environ:
-        os.environ["STOKES_OPT_THREADS"] = str(os.cpu_count() or 1)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -23,8 +23,6 @@ is supplied.  Nonlinearity and distributed mode coupling are out of scope.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +42,7 @@ from .gellmann import (
     norm_coeff,
 )
 from .metrics import variance_prediction
+from .parallel import pool_map, resolve_workers
 from .seeding import rng_for
 from .sets import LaunchSet, SimplexSet, haar_unitary
 
@@ -435,8 +434,29 @@ def _dispersed_states(f: FiberModel, state: np.ndarray,
     return (phases * coeff) @ v.T
 
 
-def _waveform_delay(f: FiberModel, state: np.ndarray, rx: ReceiverModel,
-                    rng: np.random.Generator | None) -> float:
+def _launch_state(f: FiberModel, state) -> np.ndarray:
+    """`state` as a complex (n,) array; rejects a wrong shape or norm."""
+    state = np.asarray(state, dtype=complex)
+    if state.shape != (f.n,):
+        raise DimensionError(
+            f"launch state must have shape ({f.n},), got {state.shape}")
+    if abs(np.linalg.norm(state) - 1.0) > 1e-10:
+        raise DimensionError("launch state must be unit norm")
+    return state
+
+
+def _check_finite(values) -> None:
+    """The finiteness check of MeasurementRecord, for bare delay values."""
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("measurement value must be finite")
+
+
+def _noiseless_pulse(f: FiberModel, state: np.ndarray,
+                     rx: ReceiverModel) -> tuple:
+    """The detected pulse without receiver noise (Gaussian spectrum,
+    per-frequency modal propagation, total intensity times responsivity)
+    as (sample times (s), Simpson 3/8 weights (s), photocurrent (A), its
+    windowed integral (C))."""
     t = rx.time_grid()
     count = rx.sample_count
     peak = rx.energy / (rx.pulse_width * math.sqrt(math.pi))
@@ -448,14 +468,23 @@ def _waveform_delay(f: FiberModel, state: np.ndarray, rx: ReceiverModel,
     intensity = np.einsum("km,km->k", fields, fields.conj()).real
     signal = rx.responsivity * intensity
     weights = rx.quadrature_weights()
-    # First moment normalized by the noiseless windowed energy, so receiver
-    # noise enters the estimate linearly and the analytic variance applies.
-    denom = float(weights @ signal)
+    return t, weights, signal, float(weights @ signal)
+
+
+def _first_moment(pulse: tuple, rx: ReceiverModel,
+                  rng: np.random.Generator | None) -> float:
+    """Delay read from `pulse` plus per-sample receiver noise from `rng`
+    (none when rng is None).
+
+    The first moment is normalized by the noiseless windowed energy, so
+    receiver noise enters the estimate linearly and the analytic variance
+    applies.
+    """
+    t, weights, signal, denom = pulse
     if rng is not None:
         sigma = math.sqrt(rx.sample_noise_variance)
-        signal = signal + rng.normal(0.0, sigma, count)
-    numer = float(weights @ (t * signal))
-    return numer / denom
+        signal = signal + rng.normal(0.0, sigma, rx.sample_count)
+    return float(weights @ (t * signal)) / denom
 
 
 def measure_delay(f: FiberModel, state, rx: ReceiverModel,
@@ -473,12 +502,7 @@ def measure_delay(f: FiberModel, state, rx: ReceiverModel,
     own measurement channel.  `seed` (int or tuple of ints) is required
     whenever rx.noise_psd > 0.
     """
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (f.n,):
-        raise DimensionError(
-            f"launch state must have shape ({f.n},), got {state.shape}")
-    if abs(np.linalg.norm(state) - 1.0) > 1e-10:
-        raise DimensionError("launch state must be unit norm")
+    state = _launch_state(f, state)
     if mode not in DELAY_MODES:
         raise ConfigError(f"mode must be one of {DELAY_MODES}, got {mode!r}")
     noisy = rx.noise_psd > 0.0
@@ -490,7 +514,7 @@ def measure_delay(f: FiberModel, state, rx: ReceiverModel,
         if noisy:
             value += rng.normal(0.0, math.sqrt(rx.delay_variance))
     else:
-        value = _waveform_delay(f, state, rx, rng)
+        value = _first_moment(_noiseless_pulse(f, state, rx), rx, rng)
     return MeasurementRecord(launch_index=launch_index, value=float(value),
                              kind="delay", mode=mode, seed=seed)
 
@@ -503,6 +527,8 @@ def estimate_tau0(f: FiberModel, rx: ReceiverModel, simplex: SimplexSet,
     The simplex Stokes images sum to zero, so the mean kills the delay
     vector's contribution; noiseless analytic mode returns tau0 exactly and
     the noisy estimator variance is delay_variance / (repeats * n).
+    Waveform mode synthesizes each simplex state's pulse once and reads it
+    `repeats` times, drawing the same noise as measure_delay would.
     """
     if repeats < 1:
         raise ConfigError("repeats must be at least 1")
@@ -514,11 +540,21 @@ def estimate_tau0(f: FiberModel, rx: ReceiverModel, simplex: SimplexSet,
         raise ConfigError("a seed is required for a noisy receiver")
     base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     values = np.empty((repeats, simplex.n))
-    for rep in range(repeats):
-        for idx in range(simplex.n):
-            sub = (*base, rep, idx) if noisy else None
-            values[rep, idx] = measure_delay(
-                f, simplex.states[idx], rx, mode, sub, launch_index=idx).value
+    if mode == "waveform":
+        pulses = [_noiseless_pulse(f, _launch_state(f, s), rx)
+                  for s in simplex.states]
+        for rep in range(repeats):
+            for idx, pulse in enumerate(pulses):
+                rng = rng_for(*base, rep, idx) if noisy else None
+                values[rep, idx] = _first_moment(pulse, rx, rng)
+        _check_finite(values)
+    else:
+        for rep in range(repeats):
+            for idx in range(simplex.n):
+                sub = (*base, rep, idx) if noisy else None
+                values[rep, idx] = measure_delay(
+                    f, simplex.states[idx], rx, mode, sub,
+                    launch_index=idx).value
     return float(np.mean(values))
 
 
@@ -567,27 +603,33 @@ def _mc_analytic_errors(launch_set, s_mat, rx, seed, first, last):
 
 
 def _mc_waveform_errors(args):
-    f, launch_set, rx, seed, first, last = args
+    f, launch_set, states, rx, seed, first, last = args
+    pulses = [_noiseless_pulse(f, s, rx) for s in states]
     errors = np.empty((last - first, launch_set.m))
     for tdx in range(first, last):
-        records = [measure_delay(f, launch_set.states[i], rx, "waveform",
-                                 (seed, tdx, i), launch_index=i)
-                   for i in range(launch_set.m)]
-        errors[tdx - first] = (reconstruct_md(launch_set, records, f.tau0)
+        values = np.array([_first_moment(p, rx, rng_for(seed, tdx, i))
+                           for i, p in enumerate(pulses)])
+        _check_finite(values)
+        errors[tdx - first] = (reconstruct_md(launch_set, values, f.tau0)
                                - f.md_vector)
     return errors
 
 
 def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
                    trials: int, seed: int = 0,
-                   mode: str = "analytic") -> dict:
+                   mode: str = "analytic",
+                   workers: int | None = None) -> dict:
     """Repeat the delay-vector measurement and tabulate the errors.
 
     Trial t draws its noise from the (seed, t) substream, so results do not
     depend on scheduling; accumulation relies on numpy pairwise summation.
     Analytic mode exploits that the error is linear in the noise and solves
-    all trials in one call.  Waveform mode simulates every pulse and, with
-    STOKES_OPT_THREADS > 1, distributes trial chunks over a process pool.
+    all trials in one call.  Waveform mode synthesizes each launch's
+    noiseless pulse once, then draws receiver noise per pulse from the
+    (seed, t, launch) substream, exactly as measure_delay would.  It splits
+    the trials into chunks over up to `workers` processes; None reads
+    STOKES_OPT_THREADS (default serial).  Results do not depend on it, and
+    analytic mode always runs in this process.
 
     Returns a dict with the per-trial squared error norms, their mean, the
     closed-form prediction scaled_delay_variance * xi, the mean error
@@ -611,17 +653,12 @@ def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
             raise SingularSetError(
                 "stokes coefficient matrix is singular") from exc
     else:
-        workers = int(os.environ.get("STOKES_OPT_THREADS", "1"))
-        if workers > 1 and trials > 1:
-            chunk = -(-trials // workers)
-            bounds = [(first, min(first + chunk, trials))
-                      for first in range(0, trials, chunk)]
-            jobs = [(f, launch_set, rx, seed, a, b) for a, b in bounds]
-            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-                parts = list(pool.map(_mc_waveform_errors, jobs))
-            errors = np.vstack(parts)
-        else:
-            errors = _mc_waveform_errors((f, launch_set, rx, seed, 0, trials))
+        states = [_launch_state(f, s) for s in launch_set.states]
+        workers = resolve_workers(workers)
+        chunk = -(-trials // max(workers, 1))
+        jobs = [(f, launch_set, states, rx, seed, a, min(a + chunk, trials))
+                for a in range(0, trials, chunk)]
+        errors = np.vstack(pool_map(_mc_waveform_errors, jobs, workers))
     sq = np.einsum("tm,tm->t", errors, errors)
     return {
         "trials": trials,
@@ -646,12 +683,7 @@ def measure_attenuation(f: FiberModel, state, rel_noise: float = 0.0,
     rel_noise > 0 adds multiplicative Gaussian noise, modelling a power
     meter with that relative accuracy.
     """
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (f.n,):
-        raise DimensionError(
-            f"launch state must have shape ({f.n},), got {state.shape}")
-    if abs(np.linalg.norm(state) - 1.0) > 1e-10:
-        raise DimensionError("launch state must be unit norm")
+    state = _launch_state(f, state)
     if rel_noise < 0:
         raise ConfigError("rel_noise must be non-negative")
     p2 = f.loss_matrix(squared=True)

@@ -15,8 +15,6 @@ chain-rule that gradient into their own coordinates.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +27,7 @@ from .gellmann import (
     angles_to_states_jacobian,
     jones_to_hyperspherical,
 )
+from .parallel import pool_map, resolve_workers
 from .sets import LaunchSet, canonicalize_phases, random_set
 from .seeding import rng_for
 
@@ -284,9 +283,11 @@ def _descend_start(args) -> OptimizerRun:
 
 
 def multi_start(n: int, starts: int = 8,
-                config: OptimizerConfig | None = None) -> MultiStartResult:
+                config: OptimizerConfig | None = None,
+                workers: int | None = None) -> MultiStartResult:
     """Descend from `starts` random sets (seed + i for start i) and keep all
-    runs.  Worker count comes from STOKES_OPT_THREADS (default serial).
+    runs.  Starts run over up to `workers` processes; None reads
+    STOKES_OPT_THREADS (default serial).  Results do not depend on it.
 
     Raises
     ------
@@ -298,12 +299,7 @@ def multi_start(n: int, starts: int = 8,
     if config is None:
         config = OptimizerConfig()
     jobs = [(n, config, i) for i in range(starts)]
-    workers = int(os.environ.get("STOKES_OPT_THREADS", "1"))
-    if workers > 1 and starts > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, starts)) as pool:
-            runs = list(pool.map(_descend_start, jobs))
-    else:
-        runs = [_descend_start(j) for j in jobs]
+    runs = pool_map(_descend_start, jobs, resolve_workers(workers))
     best_index = None
     for i, run in enumerate(runs):
         if run.aborted:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import spheres
 from .errors import ConfigError, DimensionError, SearchFailedError
@@ -383,6 +382,10 @@ def _sic_alternating_projection(states, n, tol, budget):
 def _sic_gauss_newton(states, n):
     """Trust-region least squares on the pairwise equiangularity residuals;
     unit norms are kept implicit by normalizing inside the residual map."""
+    # imported here, not at module level: loading scipy.optimize would
+    # dominate the start-up of every command, and only this endgame needs it
+    from scipy.optimize import least_squares
+
     count = n * n
     iu = np.triu_indices(count, 1)
 

@@ -18,21 +18,16 @@ import numpy as np
 import pytest
 
 import stokesopt
+from stokesopt import cli
 from stokesopt.cli import main
 from stokesopt.sets import load_set, mub_penalty, sic_penalty
 
 
 @pytest.fixture(autouse=True)
 def _workdir(tmp_path, monkeypatch):
-    """Run each test in its own directory, and put back afterwards the
-    worker count that main() sets in os.environ when it is unset."""
+    """Run each test in its own directory."""
     monkeypatch.chdir(tmp_path)
-    threads = os.environ.get("STOKES_OPT_THREADS")
-    yield tmp_path
-    if threads is None:
-        os.environ.pop("STOKES_OPT_THREADS", None)
-    else:
-        os.environ["STOKES_OPT_THREADS"] = threads
+    return tmp_path
 
 
 def run_cli(*argv):
@@ -403,6 +398,35 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         run_cli("optimize")
     assert err.value.code == 2
+
+
+def test_main_leaves_worker_env_unset(capsys, monkeypatch):
+    """The CLI passes its pool width explicitly; a later in-process library
+    call must not find STOKES_OPT_THREADS set by an earlier main()."""
+    monkeypatch.delenv("STOKES_OPT_THREADS", raising=False)
+    assert run_cli("gen-set", "--family", "mub", "--n", "2",
+                   "--out", "mub2.json") == 0
+    write_scenario("md.json", mode="md", seed=3, trials=4,
+                   measurement="waveform", launch_set="mub2.json",
+                   fiber=TWO_MODE_FIBER, receiver=NOISY_RECEIVER)
+    assert run_cli("simulate", "--scenario", "md.json") == 0
+    assert run_cli("optimize", "--n", "2", "--starts", "2",
+                   "--max-iter", "50") == 0
+    assert "STOKES_OPT_THREADS" not in os.environ
+
+
+def test_cli_workers_default_to_every_core(monkeypatch):
+    monkeypatch.delenv("STOKES_OPT_THREADS", raising=False)
+    assert cli._cli_workers() == (os.cpu_count() or 1)
+    monkeypatch.setenv("STOKES_OPT_THREADS", "3")
+    assert cli._cli_workers() == 3
+
+
+def test_malformed_worker_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("STOKES_OPT_THREADS", "many")
+    assert run_cli("optimize", "--n", "2", "--starts", "2",
+                   "--max-iter", "10") == 2
+    assert "STOKES_OPT_THREADS" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs(child_env):

@@ -394,6 +394,41 @@ def test_monte_carlo_waveform_mode_and_parallel_merge(monkeypatch):
     assert np.array_equal(serial["sq_errors"], pooled["sq_errors"])
 
 
+def _waveform_mc_reference(f, ls, rx, trials, seed):
+    """Waveform Monte Carlo rebuilt from one measure_delay per pulse."""
+    errors = np.empty((trials, ls.m))
+    for t in range(trials):
+        records = [fsim.measure_delay(f, s, rx, "waveform", (seed, t, i))
+                   for i, s in enumerate(ls.states)]
+        errors[t] = fsim.reconstruct_md(ls, records, f.tau0) - f.md_vector
+    return {"sq_errors": np.einsum("tm,tm->t", errors, errors),
+            "mean_error": errors.mean(axis=0),
+            "covariance": errors.T @ errors / trials}
+
+
+@pytest.mark.parametrize("n, launch", [(2, mub_set(2)),
+                                       (4, bundled_optimal_set())])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_waveform_monte_carlo_matches_per_pulse_reference(n, launch, workers):
+    f = random_fiber(n, seed=n)
+    ref = _waveform_mc_reference(f, launch, noisy_receiver(), 12, seed=7)
+    out = fsim.monte_carlo_md(f, launch, noisy_receiver(), 12, seed=7,
+                              mode="waveform", workers=workers)
+    for key, want in ref.items():
+        assert np.array_equal(out[key], want), key
+
+
+def test_waveform_tau0_matches_measure_delay_mean():
+    f = random_fiber(4, seed=3)
+    sx = simplex_set(4, seed=1)
+    rx = noisy_receiver()
+    values = [[fsim.measure_delay(f, s, rx, "waveform", (5, 9, rep, idx)).value
+               for idx, s in enumerate(sx.states)] for rep in range(3)]
+    got = fsim.estimate_tau0(f, rx, sx, repeats=3, seed=(5, 9),
+                             mode="waveform")
+    assert got == float(np.mean(np.array(values)))
+
+
 def test_monte_carlo_rejects_bad_arguments():
     f = fsim.FiberModel(2, tau0=0.0, md_vector=np.zeros(3),
                         base_unitary=np.eye(2))

@@ -23,6 +23,7 @@ from stokesopt.optimize import (
     multi_start,
     _states_to_angles,
 )
+from stokesopt.parallel import pool_map, resolve_workers
 from stokesopt.sets import (
     LaunchSet,
     mub_set,
@@ -207,6 +208,29 @@ def test_multi_start_parallel_matches_serial(monkeypatch):
     for a, b in zip(serial.runs, parallel.runs):
         assert a.final_xi == b.final_xi
         assert np.array_equal(a.final_set.states, b.final_set.states)
+
+
+def test_multi_start_explicit_workers_match_serial(monkeypatch):
+    cfg = OptimizerConfig(algorithm="projected", max_iters=500, seed=0)
+    monkeypatch.setenv("STOKES_OPT_THREADS", "2")
+    serial = multi_start(3, starts=2, config=cfg, workers=1)
+    pooled = multi_start(3, starts=2, config=cfg, workers=2)
+    for a, b in zip(serial.runs, pooled.runs):
+        assert np.array_equal(a.final_set.states, b.final_set.states)
+
+
+def test_pool_helper_serial_fallback_and_env_default(monkeypatch):
+    # a lambda cannot be sent to a worker process, so these ran in-process
+    assert pool_map(lambda j: j * j, [1, 2, 3], 1) == [1, 4, 9]
+    assert pool_map(lambda j: -j, [5], 4) == [-5]
+    monkeypatch.delenv("STOKES_OPT_THREADS", raising=False)
+    assert resolve_workers(None) == 1
+    monkeypatch.setenv("STOKES_OPT_THREADS", "3")
+    assert resolve_workers(None) == 3
+    assert resolve_workers(2) == 2
+    monkeypatch.setenv("STOKES_OPT_THREADS", "two")
+    with pytest.raises(ConfigError, match="STOKES_OPT_THREADS"):
+        resolve_workers(None)
 
 
 def test_multi_start_rejects_zero_starts():
