@@ -445,12 +445,6 @@ def _launch_state(f: FiberModel, state) -> np.ndarray:
     return state
 
 
-def _check_finite(values) -> None:
-    """The finiteness check of MeasurementRecord, for bare delay values."""
-    if not np.all(np.isfinite(values)):
-        raise ConfigError("measurement value must be finite")
-
-
 def _noiseless_pulse(f: FiberModel, state: np.ndarray,
                      rx: ReceiverModel) -> tuple:
     """The detected pulse without receiver noise (Gaussian spectrum,
@@ -527,8 +521,6 @@ def estimate_tau0(f: FiberModel, rx: ReceiverModel, simplex: SimplexSet,
     The simplex Stokes images sum to zero, so the mean kills the delay
     vector's contribution; noiseless analytic mode returns tau0 exactly and
     the noisy estimator variance is delay_variance / (repeats * n).
-    Waveform mode synthesizes each simplex state's pulse once and reads it
-    `repeats` times, drawing the same noise as measure_delay would.
     """
     if repeats < 1:
         raise ConfigError("repeats must be at least 1")
@@ -540,21 +532,11 @@ def estimate_tau0(f: FiberModel, rx: ReceiverModel, simplex: SimplexSet,
         raise ConfigError("a seed is required for a noisy receiver")
     base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     values = np.empty((repeats, simplex.n))
-    if mode == "waveform":
-        pulses = [_noiseless_pulse(f, _launch_state(f, s), rx)
-                  for s in simplex.states]
-        for rep in range(repeats):
-            for idx, pulse in enumerate(pulses):
-                rng = rng_for(*base, rep, idx) if noisy else None
-                values[rep, idx] = _first_moment(pulse, rx, rng)
-        _check_finite(values)
-    else:
-        for rep in range(repeats):
-            for idx in range(simplex.n):
-                sub = (*base, rep, idx) if noisy else None
-                values[rep, idx] = measure_delay(
-                    f, simplex.states[idx], rx, mode, sub,
-                    launch_index=idx).value
+    for rep in range(repeats):
+        for idx in range(simplex.n):
+            sub = (*base, rep, idx) if noisy else None
+            values[rep, idx] = measure_delay(
+                f, simplex.states[idx], rx, mode, sub, launch_index=idx).value
     return float(np.mean(values))
 
 
@@ -603,15 +585,18 @@ def _mc_analytic_errors(launch_set, s_mat, rx, seed, first, last):
 
 
 def _mc_waveform_errors(args):
-    f, launch_set, states, rx, seed, first, last = args
-    pulses = [_noiseless_pulse(f, s, rx) for s in states]
+    f, launch_set, rx, seed, first, last = args
+    pulses = [_noiseless_pulse(f, s, rx) for s in launch_set.states]
     errors = np.empty((last - first, launch_set.m))
     for tdx in range(first, last):
         values = np.array([_first_moment(p, rx, rng_for(seed, tdx, i))
                            for i, p in enumerate(pulses)])
-        _check_finite(values)
         errors[tdx - first] = (reconstruct_md(launch_set, values, f.tau0)
                                - f.md_vector)
+    # a non-finite delay makes its trial's solved error row non-finite, so
+    # one check per chunk applies the finiteness rule of MeasurementRecord
+    if not np.all(np.isfinite(errors)):
+        raise ConfigError("measurement value must be finite")
     return errors
 
 
@@ -653,10 +638,11 @@ def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
             raise SingularSetError(
                 "stokes coefficient matrix is singular") from exc
     else:
-        states = [_launch_state(f, s) for s in launch_set.states]
+        for s in launch_set.states:
+            _launch_state(f, s)
         workers = resolve_workers(workers)
         chunk = -(-trials // max(workers, 1))
-        jobs = [(f, launch_set, states, rx, seed, a, min(a + chunk, trials))
+        jobs = [(f, launch_set, rx, seed, a, min(a + chunk, trials))
                 for a in range(0, trials, chunk)]
         errors = np.vstack(pool_map(_mc_waveform_errors, jobs, workers))
     sq = np.einsum("tm,tm->t", errors, errors)
