@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -69,6 +68,7 @@ from .sets import (
     sic_search,
     simplex_set,
     yang_nolan,
+    _is_prime,
     _states_to_json,
 )
 
@@ -301,12 +301,6 @@ def cmd_evaluate(args) -> int:
         "log_volume": mt.log_volume, "bound_ok": mt.bound_ok,
     }, sort_keys=True, indent=2))
     return 0
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(math.isqrt(n)) + 1))
 
 
 def _parse_n_list(text: str) -> list:

@@ -342,26 +342,34 @@ def jones_to_hyperspherical(s) -> HypersphericalPoint:
     return HypersphericalPoint(phis=phis, thetas=thetas)
 
 
-def angles_to_states(phis, thetas) -> np.ndarray:
-    """Batch chart evaluation: (m, n-1) angle arrays -> (m, n) unit states."""
+def _chart(phis, thetas):
+    """Chart evaluation that keeps its factors for the Jacobian.
+
+    Returns (sin, cos, prefix, phase, amps, states), with prefix[:, v] the
+    product of sin(phi_u) over u < v, phase = e^{i theta}, and states the
+    amplitudes with phase[:, v-1] on component v >= 1.
+    """
     phis = np.asarray(phis, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     if phis.ndim != 2 or phis.shape != thetas.shape:
         raise DimensionError(
             f"need matching (m, n-1) angle arrays, got {phis.shape} and {thetas.shape}")
     m, nm1 = phis.shape
-    n = nm1 + 1
     sin = np.sin(phis)
     cos = np.cos(phis)
-    # prefix[:, v] = prod_{u<v} sin(phi_u), prefix[:, 0] = 1
-    prefix = np.ones((m, n))
+    prefix = np.ones((m, nm1 + 1))
     np.cumprod(sin, axis=1, out=prefix[:, 1:])
-    amps = np.empty((m, n))
-    amps[:, : n - 1] = prefix[:, : n - 1] * cos
-    amps[:, n - 1] = prefix[:, n - 1]
+    amps = prefix.copy()
+    amps[:, :nm1] *= cos
+    phase = np.exp(1j * thetas)
     states = amps.astype(complex)
-    states[:, 1:] *= np.exp(1j * thetas)
-    return states
+    states[:, 1:] *= phase
+    return sin, cos, prefix, phase, amps, states
+
+
+def angles_to_states(phis, thetas) -> np.ndarray:
+    """Batch chart evaluation: (m, n-1) angle arrays -> (m, n) unit states."""
+    return _chart(phis, thetas)[-1]
 
 
 def angles_to_states_jacobian(phis, thetas) -> np.ndarray:
@@ -372,35 +380,24 @@ def angles_to_states_jacobian(phis, thetas) -> np.ndarray:
     ndarray, shape (m, 2(n-1), n), complex
         jac[q, a, :]    = d s_q / d phi_a      for a in 0 .. n-2
         jac[q, n-1+a, :] = d s_q / d theta_a.
-    """
-    states = angles_to_states(phis, thetas)
-    phis = np.asarray(phis, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
-    m, nm1 = phis.shape
-    n = nm1 + 1
-    sin = np.sin(phis)
-    cos = np.cos(phis)
-    prefix = np.ones((m, n))
-    np.cumprod(sin, axis=1, out=prefix[:, 1:])
-    phase = np.ones((m, n), dtype=complex)
-    phase[:, 1:] = np.exp(1j * thetas)
 
-    jac = np.zeros((m, 2 * nm1, n), dtype=complex)
-    # gap[:, a, v] = prod_{a < u < v} sin(phi_u), built by marching v upward
-    gap = np.zeros((m, nm1, n))
-    for a in range(nm1):
-        gap[:, a, a + 1] = 1.0
-        for v in range(a + 2, n):
-            gap[:, a, v] = gap[:, a, v - 1] * sin[:, v - 1]
-    for a in range(nm1):
-        # d amps_v / d phi_a for v > a: swap sin(phi_a) for cos(phi_a)
-        for v in range(a + 1, n):
-            d = prefix[:, a] * cos[:, a] * gap[:, a, v]
-            if v < n - 1:
-                d = d * cos[:, v]
-            jac[:, a, v] = d * phase[:, v]
-        # v == a term (only the cos factor differentiates)
-        jac[:, a, a] = -prefix[:, a] * sin[:, a] * phase[:, a]
-    for a in range(nm1):
-        jac[:, nm1 + a, a + 1] = 1j * states[:, a + 1]
+    Pole-safe: every entry is a fresh product, never a quotient by a sine.
+    """
+    sin, cos, prefix, phase, amps, states = _chart(phis, thetas)
+    m, nm1 = sin.shape
+    u = np.arange(nm1)
+    jac = np.zeros((m, 2 * nm1, nm1 + 1), dtype=complex)
+    # gap[:, a, v-1] = prod_{a < u < v} sin(phi_u): a running product along
+    # u with the factors u <= a masked to 1
+    gap = np.cumprod(np.where(u > u[:, None], sin[:, None, :], 1.0), axis=2)
+    # d amps_v / d phi_a for v > a: swap sin(phi_a) for cos(phi_a), so
+    # amps_a * gap * cos(phi_v), without the cos for the trailing amplitude
+    d = amps[:, :nm1, None] * gap
+    d[:, :, : nm1 - 1] *= cos[:, None, 1:]
+    jac[:, :nm1, 1:] = np.where(u >= u[:, None], d * phase[:, None, :], 0.0)
+    # v == a term (only the cos factor differentiates); s_0 has phase 1
+    phase_a = np.ones((m, nm1), dtype=complex)
+    phase_a[:, 1:] = phase[:, :-1]
+    jac[:, u, u] = -prefix[:, :nm1] * sin * phase_a
+    jac[:, nm1 + u, u + 1] = 1j * states[:, 1:]
     return jac

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from .errors import ConfigError, DimensionError, SingularSetError
 from .sets import LaunchSet, gram_from_states
@@ -62,17 +63,30 @@ def gram(s: LaunchSet) -> np.ndarray:
     return gram_from_states(s.states, s.n)
 
 
-def _xi_cholesky(g: np.ndarray) -> float:
-    """Tr(G^-1) via Cholesky; raises SingularSetError when G is not SPD.
+def _cholesky_lower(g: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a real Gram by one direct LAPACK call.
 
-    Lean path shared with the optimizer loop (no explicit condition check).
+    The same `potrf` call that scipy's cho_factor makes, without its
+    wrapper; the strict upper triangle keeps G's entries.  Shared by the
+    metrics and the optimizer loop (no explicit condition check).
+
+    Raises
+    ------
+    SingularSetError
+        When G is not numerically positive definite.
     """
-    try:
-        c, lower = cho_factor(g, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSetError(f"Gram matrix is not positive definite: {exc}") from exc
-    linv = solve_triangular(c, np.eye(g.shape[0]), lower=True,
-                            trans=0, check_finite=False)
+    c, info = dpotrf(g, lower=1, clean=0)
+    if info > 0:
+        raise SingularSetError(
+            f"Gram matrix is not positive definite: {info}-th leading minor "
+            "of the array is not positive definite")
+    return c
+
+
+def _xi_cholesky(g: np.ndarray) -> float:
+    """Tr(G^-1) = ||L^-1||_F^2; raises SingularSetError when G is not SPD."""
+    linv = solve_triangular(_cholesky_lower(g), np.eye(g.shape[0]),
+                            lower=True, trans=0, check_finite=False)
     return float(np.sum(linv * linv))
 
 

@@ -11,6 +11,13 @@ G_jk = (n/(n-1)) (|<s_j|s_k>|^2 - |s_j|^2 |s_k|^2 / n) extends the cost
 smoothly off the unit spheres, which is what makes plain finite differences
 a valid oracle for the full gradient; the sphere algorithms then project or
 chain-rule that gradient into their own coordinates.
+
+Every cost and gradient goes through one kernel, `_inverse_gram`, which
+factorizes the Gram with direct LAPACK potrf/potrs calls.  Inside `descend`
+the line-search probes keep the factor of their latest probe: the gradient
+after an accepted Armijo step is taken at that very point and reuses the
+factor, so each phase-2 iteration factorizes once per probe and never again
+for its gradient.
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from . import spheres
 from .errors import ConfigError, SearchFailedError, SingularSetError
@@ -27,6 +34,7 @@ from .gellmann import (
     angles_to_states_jacobian,
     jones_to_hyperspherical,
 )
+from .metrics import _cholesky_lower
 from .parallel import pool_map, resolve_workers
 from .sets import LaunchSet, canonicalize_phases, random_set
 from .seeding import rng_for
@@ -121,16 +129,14 @@ class MultiStartResult:
 def _extension_gram(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ov = states.conj() @ states.T
     sq = (ov.conj() * ov).real
-    nrm2 = np.diag(ov).real
-    g = (n / (n - 1.0)) * (sq - np.outer(nrm2, nrm2) / n)
+    nrm2 = ov.diagonal().real
+    g = (n / (n - 1.0)) * (sq - nrm2[:, None] * nrm2 / n)
     return g, ov, nrm2
 
 
-def cost_and_gradient(states: np.ndarray, n: int) -> tuple[float, np.ndarray]:
-    """Cost Tr(G^-1) and its full Euclidean gradient in the state entries.
-
-    Valid for non-unit rows as well (the off-sphere extension above), so a
-    componentwise finite difference reproduces it without any projection.
+def _inverse_gram(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one Tr(G^-1) kernel: (G^-1, overlaps, squared norms) of the
+    extension Gram, by direct LAPACK potrf/potrs calls.
 
     Raises
     ------
@@ -138,12 +144,25 @@ def cost_and_gradient(states: np.ndarray, n: int) -> tuple[float, np.ndarray]:
         When the Gram is not numerically positive definite.
     """
     g, ov, nrm2 = _extension_gram(states, n)
-    try:
-        c = cho_factor(g, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSetError(
-            f"Gram matrix is not positive definite: {exc}") from exc
-    ginv = cho_solve(c, np.eye(g.shape[0]), check_finite=False)
+    ginv, _ = dpotrs(_cholesky_lower(g), np.eye(g.shape[0]), lower=1)
+    return ginv, ov, nrm2
+
+
+def cost_and_gradient(states: np.ndarray, n: int,
+                      factor: tuple | None = None) -> tuple[float, np.ndarray]:
+    """Cost Tr(G^-1) and its full Euclidean gradient in the state entries.
+
+    Valid for non-unit rows as well (the off-sphere extension above), so a
+    componentwise finite difference reproduces it without any projection.
+    `factor` is `_inverse_gram(states, n)` when the caller already has it
+    (the descent's accepted line-search probe); it is computed otherwise.
+
+    Raises
+    ------
+    SingularSetError
+        When the Gram is not numerically positive definite.
+    """
+    ginv, ov, nrm2 = factor if factor is not None else _inverse_gram(states, n)
     xi = float(np.trace(ginv))
     q = ginv @ ginv
     coef = 4.0 * n / (n - 1.0)
@@ -153,18 +172,44 @@ def cost_and_gradient(states: np.ndarray, n: int) -> tuple[float, np.ndarray]:
 
 
 def _cost_only(states: np.ndarray, n: int) -> float:
-    g, _, _ = _extension_gram(states, n)
     try:
-        c = cho_factor(g, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
+        ginv, _, _ = _inverse_gram(states, n)
+    except SingularSetError:
         return math.inf
-    ginv = cho_solve(c, np.eye(g.shape[0]), check_finite=False)
     return float(np.trace(ginv))
 
 
-def gradient_jones(states: np.ndarray, n: int) -> tuple[float, np.ndarray]:
+def _memoized_probe(n: int, to_states):
+    """Line-search cost probe that keeps the factor of its latest probe.
+
+    Returns (cost_fn, factor_at).  cost_fn(point) is Tr(G^-1) at
+    to_states(point), inf when singular.  factor_at(point) is that probe's
+    `_inverse_gram` result when `point` is the very array probed last, else
+    None.  armijo_step returns the array it accepted, which is always its
+    last probe, so the gradient after each accepted step reuses the factor
+    instead of rebuilding the Gram and its Cholesky factor.
+    """
+    last = []
+
+    def cost_fn(point):
+        last.clear()
+        try:
+            factor = _inverse_gram(to_states(point), n)
+        except SingularSetError:
+            return math.inf
+        last.append((point, factor))
+        return float(np.trace(factor[0]))
+
+    def factor_at(point):
+        return last[0][1] if last and last[0][0] is point else None
+
+    return cost_fn, factor_at
+
+
+def gradient_jones(states: np.ndarray, n: int,
+                   factor: tuple | None = None) -> tuple[float, np.ndarray]:
     """Cost and tangent-projected gradient for the projected algorithm."""
-    xi, grad = cost_and_gradient(states, n)
+    xi, grad = cost_and_gradient(states, n, factor)
     return xi, spheres.tangent_project(states, grad)
 
 
@@ -172,17 +217,19 @@ def _split_angles(angles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return angles[:, : n - 1], angles[:, n - 1:]
 
 
-def gradient_hyperspherical(angles: np.ndarray, n: int) -> tuple[float, np.ndarray]:
+def gradient_hyperspherical(angles: np.ndarray, n: int,
+                            factor: tuple | None = None) -> tuple[float, np.ndarray]:
     """Cost and gradient in the stacked angle chart.
 
     `angles` has shape (m, 2(n-1)): polar angles first, then phases.  The
     chain rule contracts the full state-space gradient with the analytic
     chart Jacobian; radial components vanish in the contraction because the
-    chart moves states only tangentially.
+    chart moves states only tangentially.  `factor` is passed on to
+    cost_and_gradient.
     """
     phis, thetas = _split_angles(angles, n)
     states = angles_to_states(phis, thetas)
-    xi, grad = cost_and_gradient(states, n)
+    xi, grad = cost_and_gradient(states, n, factor)
     jac = angles_to_states_jacobian(phis, thetas)
     return xi, np.einsum("qc,qpc->qp", grad.conj(), jac).real
 
@@ -207,14 +254,15 @@ def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> Optimi
     if config.algorithm == "projected":
         n_params = 2 * m * n
         point0 = np.array(initial.states, dtype=complex)
-        cost_fn = lambda st: _cost_only(st, n)
-        grad_fn = lambda st: gradient_jones(st, n)
+        cost_fn, factor_at = _memoized_probe(n, lambda st: st)
+        grad_fn = lambda st: gradient_jones(st, n, factor_at(st))
         retract = spheres.normalize_rows
     else:
         n_params = 2 * m * (n - 1)
         point0 = _states_to_angles(initial.states)
-        cost_fn = lambda a: _cost_only(angles_to_states(*_split_angles(a, n)), n)
-        grad_fn = lambda a: gradient_hyperspherical(a, n)
+        cost_fn, factor_at = _memoized_probe(
+            n, lambda a: angles_to_states(*_split_angles(a, n)))
+        grad_fn = lambda a: gradient_hyperspherical(a, n, factor_at(a))
         retract = spheres.no_retraction
     phase1_step = (config.normalized_phase_step
                    if config.normalized_phase_step is not None

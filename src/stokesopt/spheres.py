@@ -63,7 +63,8 @@ def armijo_step(cost_fn: Callable[[np.ndarray], float],
     Returns
     -------
     (t, new_states, new_cost); new_states is None when no acceptable step
-    exists above the step floor.
+    exists above the step floor.  An accepted new_states is the very array
+    passed to the last cost_fn call, so a cost_fn may keep work for it.
     """
     t = t0
     while t > _STEP_FLOOR:

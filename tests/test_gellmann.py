@@ -287,3 +287,68 @@ def test_jacobian_batch_consistent_with_single():
             assert np.max(np.abs(jac[q, a] - d_jones_d_angle(p, "phi", a))) < 1e-15
             assert np.max(np.abs(jac[q, n - 1 + a]
                                  - d_jones_d_angle(p, "theta", a))) < 1e-15
+
+
+def _two_loop_jacobian(phis, thetas):
+    """The chart Jacobian as first written, marching the sine gaps with two
+    Python loops; the reference the vectorized one must match bit for bit."""
+    states = angles_to_states(phis, thetas)
+    phis = np.asarray(phis, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    m, nm1 = phis.shape
+    n = nm1 + 1
+    sin = np.sin(phis)
+    cos = np.cos(phis)
+    prefix = np.ones((m, n))
+    np.cumprod(sin, axis=1, out=prefix[:, 1:])
+    phase = np.ones((m, n), dtype=complex)
+    phase[:, 1:] = np.exp(1j * thetas)
+
+    jac = np.zeros((m, 2 * nm1, n), dtype=complex)
+    gap = np.zeros((m, nm1, n))
+    for a in range(nm1):
+        gap[:, a, a + 1] = 1.0
+        for v in range(a + 2, n):
+            gap[:, a, v] = gap[:, a, v - 1] * sin[:, v - 1]
+    for a in range(nm1):
+        for v in range(a + 1, n):
+            d = prefix[:, a] * cos[:, a] * gap[:, a, v]
+            if v < n - 1:
+                d = d * cos[:, v]
+            jac[:, a, v] = d * phase[:, v]
+        jac[:, a, a] = -prefix[:, a] * sin[:, a] * phase[:, a]
+    for a in range(nm1):
+        jac[:, nm1 + a, a + 1] = 1j * states[:, a + 1]
+    return jac
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_jacobian_matches_two_loop_reference_bitwise(n):
+    rng = np.random.default_rng(900 + n)
+    shape = (40, n - 1)
+    thetas = rng.uniform(-np.pi, np.pi, shape)
+    generic = rng.uniform(-np.pi, 2 * np.pi, shape)
+    poles = rng.choice([0.0, np.pi / 2, np.pi], size=shape)
+    mixed = np.where(rng.random(shape) < 0.5, poles, generic)
+    for phis in (generic, poles, mixed):
+        new = angles_to_states_jacobian(phis, thetas)
+        ref = _two_loop_jacobian(phis, thetas)
+        assert np.array_equal(new, ref)
+        assert new.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_jacobian_pole_zeros_are_exact(n):
+    # phi_a = 0 empties every component after a, so the later polar angles
+    # and the phases of those components become redundant: exact zeros
+    rng = np.random.default_rng(950 + n)
+    nm1 = n - 1
+    thetas = rng.uniform(-np.pi, np.pi, (5, nm1))
+    for a in range(nm1):
+        phis = rng.uniform(0.1, np.pi - 0.1, (5, nm1))
+        phis[:, a] = 0.0
+        jac = angles_to_states_jacobian(phis, thetas)
+        assert np.all(np.isfinite(jac))
+        assert np.all(jac[:, a + 1: nm1] == 0.0)
+        assert np.all(jac[:, nm1 + a:] == 0.0)
+        assert np.all(jac[:, a, a + 1:] != 0.0)

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, solve_triangular
 
 from stokesopt.errors import ConfigError, DimensionError, SingularSetError
 from stokesopt.metrics import (
@@ -19,6 +20,7 @@ from stokesopt.metrics import (
     metrics_from_gram,
     penalty_db,
     variance_prediction,
+    _xi_cholesky,
 )
 from stokesopt.sets import (
     LaunchSet,
@@ -153,3 +155,16 @@ def test_penalty_db_values():
     assert penalty_db(1.0) == 0.0
     np.testing.assert_allclose(penalty_db(2.0), 10 * math.log10(2.0),
                                rtol=1e-15)
+
+
+def test_xi_cholesky_matches_cho_factor_route_bitwise():
+    # the direct potrf call is the one cho_factor makes, so evaluate/sweep
+    # output bytes do not depend on which of the two computes xi
+    for n, seed in ((2, 1), (4, 2), (7, 3)):
+        g = gram(random_set(n, seed=seed))
+        c, lower = cho_factor(g, lower=True, check_finite=False)
+        linv = solve_triangular(c, np.eye(g.shape[0]), lower=True,
+                                trans=0, check_finite=False)
+        assert _xi_cholesky(g) == float(np.sum(linv * linv))
+    with pytest.raises(SingularSetError, match="not positive definite"):
+        _xi_cholesky(-np.eye(3))

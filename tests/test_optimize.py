@@ -4,13 +4,15 @@ Both gradient forms are held against componentwise central finite
 differences of the off-sphere cost extension; descent endpoints are held
 against the known small-dimension optima and the orthonormal bound.
 """
+import math
 import os
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
-from stokesopt import spheres
-from stokesopt.errors import ConfigError
+from stokesopt import optimize, spheres
+from stokesopt.errors import ConfigError, SingularSetError
 from stokesopt.gellmann import angles_to_states
 from stokesopt.optimize import (
     OptimizerConfig,
@@ -21,6 +23,9 @@ from stokesopt.optimize import (
     gradient_hyperspherical,
     gradient_jones,
     multi_start,
+    _extension_gram,
+    _inverse_gram,
+    _memoized_probe,
     _states_to_angles,
 )
 from stokesopt.parallel import pool_map, resolve_workers
@@ -245,3 +250,104 @@ def test_hyperspherical_round_trip_preserves_cost():
     xi_angles, _ = gradient_hyperspherical(angles, 3)
     xi_direct, _ = cost_and_gradient(np.array(s.states), 3)
     np.testing.assert_allclose(xi_angles, xi_direct, rtol=1e-10)
+
+
+def test_inverse_gram_matches_scipy_cholesky_wrappers_bitwise():
+    # the direct potrf/potrs calls are the ones cho_factor/cho_solve make
+    for n, seed in ((2, 1), (4, 2), (6, 3)):
+        states = np.array(random_set(n, seed=seed).states)
+        g, _, _ = _extension_gram(states, n)
+        ref = cho_solve(cho_factor(g, lower=True, check_finite=False),
+                        np.eye(g.shape[0]), check_finite=False)
+        ginv, _, _ = _inverse_gram(states, n)
+        assert ginv.tobytes() == ref.tobytes()
+
+
+def test_inverse_gram_singular_message():
+    states = np.array(random_set(3, seed=4).states)
+    states[0] = 0.0
+    with pytest.raises(SingularSetError) as err:
+        _inverse_gram(states, 3)
+    assert str(err.value) == (
+        "Gram matrix is not positive definite: 1-th leading minor of the "
+        "array is not positive definite")
+
+
+def test_cost_and_gradient_with_reused_factor_is_bitwise_fresh():
+    for n, seed in ((3, 6), (4, 5)):
+        states = np.array(random_set(n, seed=seed).states)
+        xi, grad = cost_and_gradient(states, n)
+        xi_r, grad_r = cost_and_gradient(states, n, _inverse_gram(states, n))
+        assert xi_r == xi
+        assert np.array_equal(grad_r, grad)
+
+
+def test_probe_memo_serves_only_the_last_probed_array():
+    n = 4
+    cost_fn, factor_at = _memoized_probe(n, lambda st: st)
+    a = np.array(random_set(n, seed=1).states)
+    b = np.array(random_set(n, seed=2).states)
+    assert factor_at(a) is None
+    xi = cost_fn(a)
+    assert xi == cost_and_gradient(a, n)[0]
+    assert factor_at(a) is not None
+    # equal values in another array, or any other point: computed afresh
+    assert factor_at(a.copy()) is None
+    assert factor_at(b) is None
+    cost_fn(b)
+    assert factor_at(a) is None
+    assert factor_at(b) is not None
+
+
+def test_singular_probe_leaves_no_entry():
+    n = 3
+    cost_fn, factor_at = _memoized_probe(n, lambda st: st)
+    good = np.array(random_set(n, seed=4).states)
+    cost_fn(good)
+    singular = good.copy()
+    singular[0] = 0.0
+    assert cost_fn(singular) == math.inf
+    assert factor_at(singular) is None
+    assert factor_at(good) is None
+
+
+@pytest.mark.parametrize("algorithm", ["hyperspherical", "projected"])
+def test_descent_gradients_reuse_only_the_accepted_probe(monkeypatch, algorithm):
+    # every reused factor gives the fresh gradient bit for bit; points the
+    # line search never probed (the start, phase-1 steps) get no factor
+    fresh = optimize.cost_and_gradient
+    calls = []
+
+    def spy(states, n, factor=None):
+        out = fresh(states, n, factor)
+        if factor is not None:
+            ref = fresh(states, n)
+            assert out[0] == ref[0] and np.array_equal(out[1], ref[1])
+        calls.append(factor is not None)
+        return out
+
+    monkeypatch.setattr(optimize, "cost_and_gradient", spy)
+    n, m = 3, 8
+    rng = rng_for(77)
+    base = random_states(rng, 1, n)[0]
+    clump = base[None, :] + 3e-2 * (rng.standard_normal((m, n))
+                                    + 1j * rng.standard_normal((m, n)))
+    s0 = LaunchSet(n=n, states=spheres.normalize_rows(clump))
+    run = descend(s0, OptimizerConfig(algorithm=algorithm, max_iters=200))
+    assert run.phase1_iters >= 1
+    assert calls[: run.phase1_iters + 1] == [False] * (run.phase1_iters + 1)
+    assert all(calls[run.phase1_iters + 1:])
+    assert len(calls) == run.iterations_used + 1
+
+
+# final_xi of two fixed descents, recorded with scipy's cho_factor/cho_solve
+# wrappers and the two-loop chart Jacobian; the direct LAPACK kernel, the
+# probe reuse and the vectorized Jacobian must not move a single bit
+@pytest.mark.parametrize("algorithm, seed, final_xi", [
+    ("hyperspherical", 2, 17.04076895149586),
+    ("projected", 3, 16.89436835311694),
+])
+def test_fixed_descents_match_frozen_final_xi(algorithm, seed, final_xi):
+    cfg = OptimizerConfig(algorithm=algorithm, max_iters=300)
+    run = descend(random_set(4, seed=seed), cfg)
+    assert run.final_xi == final_xi
