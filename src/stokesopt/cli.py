@@ -445,6 +445,8 @@ def _simulate_md(doc, fiber, scenario_path, where, args):
 def _simulate_mdl(doc, fiber, scenario_path, where, args):
     ls = _launch_set_from(doc, scenario_path, where)
     trials = _scenario_field(doc, "trials", int, where)
+    if trials < 1:
+        raise ConfigError("trials must be at least 1")
     seed = doc.get("seed", 0)
     rel_noise = float(doc.get("attenuation_rel_noise", 0.0))
     sx = simplex_set(fiber.n, seed=doc.get("simplex_seed", seed))

@@ -21,7 +21,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from .errors import ConfigError, DimensionError, SingularSetError
-from .sets import LaunchSet, gram_from_states
+from .sets import COND_LIMIT, LaunchSet, _gram_condition, gram_from_states
 
 __all__ = [
     "COND_LIMIT",
@@ -33,9 +33,6 @@ __all__ = [
     "metrics_from_gram",
     "variance_prediction",
 ]
-
-# operative numerical-singularity threshold on cond2(G) = kappa(S)^2
-COND_LIMIT = 1e14
 
 
 @dataclass(frozen=True)
@@ -91,8 +88,8 @@ def _xi_cholesky(g: np.ndarray) -> float:
 
 
 def _check_conditioning(lam: np.ndarray) -> None:
-    if lam[0] <= 0.0 or lam[-1] / lam[0] > COND_LIMIT:
-        cond = math.inf if lam[0] <= 0 else lam[-1] / lam[0]
+    cond = _gram_condition(lam)
+    if cond > COND_LIMIT:
         raise SingularSetError(
             f"launch set is numerically singular: cond(G) = {cond:.3e} "
             f"exceeds {COND_LIMIT:.0e}")
@@ -131,23 +128,13 @@ def _metrics_from_eigs(n: int, lam: np.ndarray, xi: float) -> SetMetrics:
 
 
 def metrics(s: LaunchSet) -> SetMetrics:
-    """Full diagnostics; singular values come from the explicit S (SVD), the
-    cost from the Jones-overlap Gram (Cholesky), keeping the two linear-
-    algebra routes independent."""
-    g = gram(s)
-    lam = np.linalg.eigvalsh(g)
-    _check_conditioning(lam)
-    xi = _xi_cholesky(g)
-    sv = np.linalg.svd(s.stokes_matrix(), compute_uv=False)
-    m = s.m
-    pen = xi / m
-    return SetMetrics(
-        n=s.n, m=m, xi=xi, penalty=pen, penalty_db=penalty_db(pen),
-        condition_number=float(sv[0] / sv[-1]),
-        singular_values=sv,
-        log_volume=float(np.sum(np.log(sv))),
-        bound_ok=bool(xi >= m - 1e-6),
-    )
+    """Full diagnostics of a launch set from its Jones-overlap Gram alone.
+
+    One eigvalsh of G gives the conditioning check, sigma_k(S) =
+    sqrt(eig_k(G)), kappa(S) and log |det S| to about eps * cond(G)
+    relative, the accuracy of xi (Cholesky of G) itself; S is not formed.
+    """
+    return metrics_from_gram(gram(s))
 
 
 def metrics_from_gram(g: np.ndarray) -> SetMetrics:

@@ -9,7 +9,7 @@ This module builds the named families:
     mub_set      mutually unbiased bases (prime n), last vector of each dropped
     sic_search   numerically constructed symmetric informationally complete
                  set (equal squared overlaps 1/(n+1)), last vector dropped
-    random_set   uniform random states, redrawn until S is nonsingular
+    random_set   uniform random states, redrawn until G is well conditioned
     simplex_set  an orthonormal basis (n states), used for the common-mode
                  delay estimate; its Stokes images sum to zero
 
@@ -29,6 +29,10 @@ from . import spheres
 from .errors import ConfigError, DimensionError, SearchFailedError
 from .gellmann import jones_to_stokes_batch
 from .seeding import rng_for
+
+# operative numerical-singularity threshold on cond2(G) = kappa(S)^2: the
+# metrics reject a set above it, and random_set redraws one
+COND_LIMIT = 1e14
 
 __all__ = [
     "LaunchSet",
@@ -71,8 +75,8 @@ class LaunchSet:
                 f"launch set for n={self.n} needs shape ({m}, {self.n}), "
                 f"got {st.shape}")
         norms = np.linalg.norm(st, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise DimensionError("launch states must be unit norm")
+        if not np.all(np.abs(norms - 1.0) <= 1e-10):  # False for NaN too
+            raise DimensionError("launch states must be finite and unit norm")
         self.states = st
 
     @property
@@ -112,6 +116,11 @@ def gram_from_states(states: np.ndarray, n: int) -> np.ndarray:
     """Stokes Gram of a state stack straight from Jones overlaps."""
     ov = states.conj() @ states.T
     return _overlap_sq_to_gram((ov.conj() * ov).real, n)
+
+
+def _gram_condition(lam: np.ndarray) -> float:
+    """cond2(G) from the ascending eigenvalues of G; inf unless G is PD."""
+    return math.inf if lam[0] <= 0.0 else float(lam[-1] / lam[0])
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +427,15 @@ def random_states(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
 
 
 def random_set(n: int, seed: int = 0) -> LaunchSet:
-    """Uniform random launch set, redrawn until S is numerically nonsingular."""
+    """Uniform random launch set, redrawn (meta["attempt"] counts rejected
+    draws) until cond2(G) <= COND_LIMIT, so the metrics accept every set."""
     if n < 2:
         raise DimensionError(f"need at least 2 modes, got n={n}")
     rng = rng_for(seed)
     for attempt in range(64):
         states = random_states(rng, n * n - 1, n)
-        sv = np.linalg.svd(jones_to_stokes_batch(states), compute_uv=False)
-        if sv[-1] > 1e-12 * sv[0]:
+        lam = np.linalg.eigvalsh(gram_from_states(states, n))
+        if _gram_condition(lam) <= COND_LIMIT:
             return LaunchSet(n=n, states=states, family="random",
                              meta={"seed": seed, "attempt": attempt})
     raise SearchFailedError(f"could not draw a nonsingular random set for n={n}")
@@ -518,8 +528,9 @@ def load_set(path) -> LaunchSet:
             f"expected {n * n - 1}")
     norms = np.linalg.norm(states, axis=1)
     dev = np.max(np.abs(norms - 1.0))
-    if dev > 1e-8:
-        raise ConfigError(f"{path}: field 'vectors' contains non-unit states")
+    if not dev <= 1e-8:  # NaN fails every comparison
+        raise ConfigError(
+            f"{path}: field 'vectors' contains non-unit or non-finite states")
     if dev > 1e-12:
         # tolerate mildly rounded inputs, but keep exact files bit-exact
         states = states / norms[:, None]

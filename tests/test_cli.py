@@ -213,6 +213,16 @@ def test_evaluate_names_offending_field(capsys):
     assert "vectors" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_non_finite_state(capsys):
+    data = importlib.resources.files("stokesopt") / "data" / "optimal_n4.json"
+    doc = json.loads(data.read_text())
+    doc["vectors"][3][1][0] = math.nan
+    with open("nan.json", "w") as fh:
+        json.dump(doc, fh)
+    assert run_cli("evaluate", "--set", "nan.json") == 4
+    assert "non-finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -352,6 +362,21 @@ def test_simulate_mdl_overwhelming_noise_exits_3(capsys):
                    fiber=fiber)
     assert run_cli("simulate", "--scenario", "loud.json") == 3
     assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_simulate_mdl_rejects_non_positive_trials(capsys, trials):
+    assert run_cli("gen-set", "--family", "mub", "--n", "2",
+                   "--out", "m2.json") == 0
+    capsys.readouterr()
+    fiber = {"n": 2, "tau0": 0.0, "md_vector": [0.0, 0.0, 0.0],
+             "unitary_seed": 2, "pa_coeffs": [0.1, 0.4], "z": 1.0}
+    write_scenario("few.json", mode="mdl", seed=1, trials=trials,
+                   launch_set="m2.json", fiber=fiber)
+    assert run_cli("simulate", "--scenario", "few.json",
+                   "--out", "few_out.json") == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+    assert not os.path.exists("few_out.json")
 
 
 def test_simulate_input_errors(capsys):

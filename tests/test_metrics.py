@@ -1,9 +1,12 @@
 """Cost and diagnostics tests.
 
-The cost route used in production (Cholesky of the Jones-overlap Gram) is
-checked against direct inverse-trace and SVD routes, against the orthonormal
-lower bound, and against the closed-form penalties of the symmetric families
-up to 30 modes.
+The production routes work on the Jones-overlap Gram alone: xi from its
+Cholesky factor, and sigma_k(S) = sqrt(eig_k(G)), kappa(S) and the
+log-volume from its eigenvalues, which are accurate to about eps * cond(G)
+relative, as xi itself is.  They are checked against a direct inverse
+trace, against the SVD of the explicitly built Stokes matrix, against the
+orthonormal lower bound, and against the closed-form penalties of the
+symmetric families up to 30 modes.
 """
 import math
 
@@ -45,11 +48,25 @@ def test_cost_equals_inverse_gram_trace():
         np.testing.assert_allclose(cost(s), direct, rtol=1e-9)
 
 
+def _family_sets():
+    # SIC searches stop at n = 6: at n = 7 one search runs for minutes
+    return ([yang_nolan(n) for n in range(2, 9)]
+            + [mub_set(n) for n in (2, 3, 5, 7)]
+            + [random_set(n, seed=n) for n in range(2, 9)]
+            + [sic_search(n, seed=0) for n in range(2, 7)])
+
+
 def test_metrics_routes_agree():
-    # xi comes from the Gram (Cholesky), singular values from the explicit
-    # Stokes matrix (SVD); they must tell the same story
-    for s in _sample_sets():
+    # xi comes from the Gram's Cholesky factor, the singular values from its
+    # eigenvalues; the SVD of the explicitly built S is the independent check
+    for s in _sample_sets() + _family_sets():
         m = metrics(s)
+        sv = np.linalg.svd(s.stokes_matrix(), compute_uv=False)
+        np.testing.assert_allclose(m.singular_values, sv, rtol=1e-8)
+        np.testing.assert_allclose(m.condition_number, sv[0] / sv[-1],
+                                   rtol=1e-8)
+        np.testing.assert_allclose(m.log_volume, np.sum(np.log(sv)),
+                                   rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(m.xi, np.sum(m.singular_values ** -2.0),
                                    rtol=1e-8)
         sign, logdet = np.linalg.slogdet(gram(s))
