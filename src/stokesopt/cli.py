@@ -378,11 +378,11 @@ def _scenario_field(doc: dict, key: str, kind, where: str):
     if key not in doc:
         raise _InputError(f"{where}: missing field '{key}'")
     value = doc[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
+    accepted = (int, float) if kind is float else kind
+    # bool subclasses int, so JSON true/false would pass as 1/0
+    if isinstance(value, bool) or not isinstance(value, accepted):
         raise _InputError(f"{where}: field '{key}' must be {kind.__name__}")
-    return value
+    return float(value) if kind is float else value
 
 
 def _fiber_from(doc: dict, where: str) -> fibersim.FiberModel:

@@ -7,8 +7,9 @@ This module builds the named families:
 
     yang_nolan   basis states plus pairwise (1, 1) and (1, i) superpositions
     mub_set      mutually unbiased bases (prime n), last vector of each dropped
-    sic_search   numerically constructed symmetric informationally complete
-                 set (equal squared overlaps 1/(n+1)), last vector dropped
+    sic_search   symmetric informationally complete set (equal squared
+                 overlaps 1/(n+1)): the Weyl-Heisenberg orbit of a fiducial
+                 found by Levenberg-Marquardt, last vector dropped
     random_set   uniform random states, redrawn until G is well conditioned
     simplex_set  an orthonormal basis (n states), used for the common-mode
                  delay estimate; its Stokes images sum to zero
@@ -25,7 +26,6 @@ from importlib import resources
 
 import numpy as np
 
-from . import spheres
 from .errors import ConfigError, DimensionError, SearchFailedError
 from .gellmann import jones_to_stokes_batch
 from .seeding import rng_for
@@ -291,23 +291,6 @@ def sic_log_volume(n: int) -> float:
     return (n * n - 2.0) * math.log(n) - 0.5 * (n * n - 1.0) * math.log(n * n - 1.0)
 
 
-def _frame_cost(states: np.ndarray) -> float:
-    ov = states.conj() @ states.T
-    p = (ov.conj() * ov).real
-    np.fill_diagonal(p, 0.0)
-    return float(np.sum(p * p))
-
-
-def _frame_grad(states: np.ndarray) -> tuple[float, np.ndarray]:
-    ov = states.conj() @ states.T
-    p = (ov.conj() * ov).real
-    np.fill_diagonal(p, 0.0)
-    cost = float(np.sum(p * p))
-    w = p * ov.conj()
-    grad = 8.0 * (w @ states)
-    return cost, spheres.tangent_project(states, grad)
-
-
 def _equiangularity_residual(states: np.ndarray, n: int) -> float:
     ov = states.conj() @ states.T
     p = (ov.conj() * ov).real
@@ -315,18 +298,81 @@ def _equiangularity_residual(states: np.ndarray, n: int) -> float:
     return float(np.max(np.abs(p - 1.0 / (n + 1.0))))
 
 
-def sic_search(n: int, seed: int = 0, tol: float = 1e-8,
-               max_iters: int = 200_000, starts: int = 8) -> LaunchSet:
-    """Numerically construct a SIC set.
+def _weyl_heisenberg_orbit(psi: np.ndarray) -> np.ndarray:
+    """The n^2 displaced copies X^a Z^b psi, row a*n + b.
 
-    Per start: frame-potential projected gradient descent over n^2 unit
-    states finds the basin; an alternating-projection contraction (magnitude
-    projection of the Jones Gram alternated with its rank-n factorization)
-    tightens it; a trust-region Gauss-Newton pass on the equiangularity
-    residuals max | |<psi_i|psi_j>|^2 - 1/(n+1) | finishes to machine level.
-    The pure-gradient tail alone converges sublinearly when the solution set
-    is a continuum (n = 3), hence the endgame phases.  The last state of the
-    converged frame is dropped.
+    X|j> = |j+1 mod n> and Z|j> = w^j |j> with w = exp(2 pi i / n), so
+    (X^a Z^b psi)_j = w^(b (j-a)) psi_(j-a).
+    """
+    n = psi.size
+    k = np.arange(n)
+    phase = np.exp(2j * np.pi * np.outer(k, k) / n)  # [b, j] -> w^(b j)
+    back = (k[None, :] - k[:, None]) % n             # [a, j] -> j - a
+    return (phase[:, back] * psi[back]).transpose(1, 0, 2).reshape(n * n, n)
+
+
+def _fiducial_residuals(x: np.ndarray, n: int):
+    """Residuals |<psi|X^a Z^b|psi>|^2 - 1/(n+1) over (a, b) != (0, 0) and
+    their Jacobian in x = (Re psi, Im psi).
+
+    For D = X^a Z^b, u = D psi and cv = conj(D^H psi), the overlap
+    M = <psi|u> moves by d|M|^2 = 2 Re(conj(M) (u + cv)) . dRe psi
+    + 2 Im(conj(M) (u - cv)) . dIm psi.  Since Z X = w X Z,
+    D^H = w^(ab) X^-a Z^-b, so cv comes from the same orbit as u.  The
+    residuals also fix the norm: the sum of |M|^2 over all (a, b) is
+    n |psi|^4, so |psi| = 1 at a root.
+    """
+    psi = x[:n] + 1j * x[n:]
+    k = np.arange(n)
+    neg = -k % n
+    u = _weyl_heisenberg_orbit(psi).reshape(n, n, n)
+    cv = (np.exp(-2j * np.pi * np.outer(k, k) / n)[:, :, None]
+          * u[neg[:, None], neg].conj()).reshape(n * n, n)[1:]
+    u = u.reshape(n * n, n)[1:]
+    ov = u @ psi.conj()
+    co = ov.conj()[:, None]
+    jac = 2.0 * np.hstack([(co * (u + cv)).real, (co * (u - cv)).imag])
+    return (ov.conj() * ov).real - 1.0 / (n + 1.0), jac
+
+
+def _levenberg_marquardt(psi: np.ndarray) -> np.ndarray:
+    """Damped Gauss-Newton on the fiducial residuals, started from psi.
+
+    Stops when the step no longer moves psi (converged to rounding level) or
+    the damping has grown past any useful value (a local minimum that is
+    not a root, left for the next start).
+    """
+    n = psi.size
+    x = np.concatenate([psi.real, psi.imag])
+    res, jac = _fiducial_residuals(x, n)
+    cost = res @ res
+    mu = 1e-3
+    for _ in range(200):
+        step = np.linalg.solve(jac.T @ jac + mu * np.eye(2 * n), -(jac.T @ res))
+        trial_res, trial_jac = _fiducial_residuals(x + step, n)
+        trial_cost = trial_res @ trial_res
+        if trial_cost < cost:
+            x, res, jac, cost = x + step, trial_res, trial_jac, trial_cost
+            mu = max(0.3 * mu, 1e-12)
+        else:
+            mu *= 10.0
+        if np.linalg.norm(step) <= 1e-13 or mu > 1e8:
+            break
+    return x[:n] + 1j * x[n:]
+
+
+def sic_search(n: int, seed: int = 0, tol: float = 1e-8,
+               starts: int = 8) -> LaunchSet:
+    """Numerically construct a SIC set as a Weyl-Heisenberg orbit.
+
+    A SIC fiducial is a unit psi with |<psi|X^a Z^b|psi>|^2 = 1/(n+1) for
+    every (a, b) != (0, 0); its n^2 displaced copies X^a Z^b psi then have
+    equal pairwise squared overlaps 1/(n+1) (Renes, Blume-Kohout, Scott &
+    Caves, J. Math. Phys. 45, 2171 (2004)).  Each start draws psi at random
+    and solves the n^2 - 1 real residuals over its 2n real parameters by
+    Levenberg-Marquardt with the analytic Jacobian.  The residual reported
+    and tested is max | |<psi_i|psi_j>|^2 - 1/(n+1) | over the built orbit;
+    the last displaced copy is dropped.
 
     Raises
     ------
@@ -335,24 +381,13 @@ def sic_search(n: int, seed: int = 0, tol: float = 1e-8,
     """
     if n < 2:
         raise DimensionError(f"need at least 2 modes, got n={n}")
-    if tol <= 0 or max_iters < 1 or starts < 1:
-        raise ConfigError("tol must be positive, budgets at least 1")
+    if tol <= 0 or starts < 1:
+        raise ConfigError("tol must be positive, starts at least 1")
     best = None
     for start in range(starts):
-        rng = rng_for(seed, start)
-        states = random_states(rng, n * n, n)
-        res = spheres.projected_descent(
-            _frame_cost, _frame_grad, states,
-            grad_tol=1e-8, max_iters=min(max_iters, 2000),
-            stop_fn=lambda st: _equiangularity_residual(st, n) < tol,
-            log_stride=100)
-        states = res.states
+        psi = _levenberg_marquardt(random_states(rng_for(seed, start), 1, n)[0])
+        states = _weyl_heisenberg_orbit(psi / np.linalg.norm(psi))
         residual = _equiangularity_residual(states, n)
-        if residual >= tol:
-            states, residual = _sic_alternating_projection(
-                states, n, tol, min(max_iters, 300))
-        if residual >= tol:
-            states, residual = _sic_gauss_newton(states, n)
         if best is None or residual < best[1]:
             best = (states, residual, start)
         if residual < tol:
@@ -366,54 +401,6 @@ def sic_search(n: int, seed: int = 0, tol: float = 1e-8,
     meta = {"seed": seed, "start": start, "tol": tol, "residual": residual}
     return LaunchSet(n=n, states=canonicalize_phases(states[:-1]),
                      family="sic", meta=meta)
-
-
-def _sic_alternating_projection(states, n, tol, budget):
-    """Alternate the off-diagonal magnitude projection of the Jones Gram
-    with its nearest rank-n PSD factorization."""
-    target = 1.0 / np.sqrt(n + 1.0)
-    res = _equiangularity_residual(states, n)
-    for _ in range(budget):
-        if res < tol:
-            break
-        ov = states.conj() @ states.T
-        mag = np.abs(ov)
-        ph = np.where(mag > 1e-14, ov / np.where(mag == 0.0, 1.0, mag), 1.0)
-        goal = target * ph
-        np.fill_diagonal(goal, 1.0)
-        lam, vec = np.linalg.eigh(goal)
-        fac = (vec[:, -n:] * np.sqrt(np.maximum(lam[-n:], 0.0))[None, :]).conj()
-        states = spheres.normalize_rows(fac)
-        res = _equiangularity_residual(states, n)
-    return states, res
-
-
-def _sic_gauss_newton(states, n):
-    """Trust-region least squares on the pairwise equiangularity residuals;
-    unit norms are kept implicit by normalizing inside the residual map."""
-    # imported here, not at module level: loading scipy.optimize would
-    # dominate the start-up of every command, and only this endgame needs it
-    from scipy.optimize import least_squares
-
-    count = n * n
-    iu = np.triu_indices(count, 1)
-
-    def unpack(x):
-        half = x.size // 2
-        st = x[:half].reshape(count, n) + 1j * x[half:].reshape(count, n)
-        return spheres.normalize_rows(st)
-
-    def residuals(x):
-        st = unpack(x)
-        ov = st.conj() @ st.T
-        p = (ov.conj() * ov).real
-        return p[iu] - 1.0 / (n + 1.0)
-
-    x0 = np.concatenate([states.real.ravel(), states.imag.ravel()])
-    sol = least_squares(residuals, x0, method="trf", xtol=3e-16, ftol=3e-16,
-                        gtol=3e-16, max_nfev=20_000)
-    out = unpack(sol.x)
-    return out, _equiangularity_residual(out, n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ row as a real 2n-vector, the feasible set is a product of m real unit spheres;
 the tangent projection removes the radial component Re<s|g> s row by row and a
 step retracts by renormalizing rows.
 
-Both the launch-set optimizer and the symmetric-frame search drive this
-module, supplying their own cost/gradient callables.  The line search is
+The launch-set optimizer drives this module, supplying its own
+cost/gradient callables for either parameterization.  The line search is
 plain Armijo backtracking with a warm-started, regrowing trial step.
 """
 from __future__ import annotations
@@ -117,7 +117,6 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
                       initial_step: float = 1.0,
                       phase1_threshold: float | None = None,
                       phase1_step: float | None = None,
-                      stop_fn: Callable[[np.ndarray], bool] | None = None,
                       log_stride: int = 1,
                       retract: Callable[[np.ndarray], np.ndarray] = normalize_rows,
                       ) -> DescentResult:
@@ -156,10 +155,6 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
     aborted = False
 
     while it < max_iters:
-        if stop_fn is not None and stop_fn(states):
-            stop_reason = "stop_fn"
-            converged = True
-            break
         if gnorm <= grad_tol:
             stop_reason = "grad_tol"
             converged = True

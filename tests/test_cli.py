@@ -107,6 +107,17 @@ def test_gen_set_sic_reports_residual(capsys):
                         10 * math.log10(sic_penalty(3)), rel_tol=1e-9)
 
 
+def test_sic_search_runs_in_a_child_without_scipy_optimize(child_env):
+    code = ("import sys\n"
+            "from stokesopt.sets import sic_search\n"
+            "for n in range(2, 11):\n"
+            "    sic_search(n)\n"
+            "assert 'scipy.optimize' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_gen_set_random_roundtrips():
     assert run_cli("gen-set", "--family", "random", "--n", "2",
                    "--seed", "9") == 0
@@ -256,6 +267,17 @@ def test_sweep_families_and_skips(capsys):
         assert by_family["yang"][n] > by_family["sic-analytic"][n]
 
 
+def test_sweep_constructed_sic_matches_closed_form():
+    assert run_cli("sweep", "--families", "sic,sic-analytic",
+                   "--n-list", "2-10", "--out", "sic.csv") == 0
+    _, _, rows = read_csv("sic.csv")
+    xi = {(fam, int(n)): float(x) for n, fam, x, *_ in rows}
+    assert len(xi) == 18
+    for n in range(2, 11):
+        assert math.isclose(xi["sic", n], xi["sic-analytic", n],
+                            rel_tol=1e-9)
+
+
 def test_sweep_analytic_endpoint_at_forty():
     assert run_cli("sweep", "--families", "sic-analytic",
                    "--n-list", "2-40", "--out", "sa.csv") == 0
@@ -393,6 +415,27 @@ def test_simulate_input_errors(capsys):
                    fiber={"n": 2, "tau0": 0.0, "md_vector": [0.0, 0.0, 0.0],
                           "pa_coeffs": [-1.0, 0.1]})
     assert run_cli("simulate", "--scenario", "badfiber.json") == 4
+
+
+@pytest.mark.parametrize("path", [("trials",), ("fiber", "n"),
+                                  ("fiber", "tau0")])
+def test_simulate_rejects_boolean_numbers(capsys, path):
+    # bool subclasses int in Python; JSON true must not pass as 1
+    assert run_cli("gen-set", "--family", "mub", "--n", "2",
+                   "--out", "mub2.json") == 0
+    capsys.readouterr()
+    doc = {"mode": "md", "seed": 3, "trials": 4, "launch_set": "mub2.json",
+           "fiber": dict(TWO_MODE_FIBER), "receiver": NOISY_RECEIVER}
+    *parents, key = path
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    target[key] = True
+    write_scenario("flag.json", **doc)
+    assert run_cli("simulate", "--scenario", "flag.json",
+                   "--out", "flag_out.json") == 4
+    assert f"field '{key}' must be" in capsys.readouterr().err
+    assert not os.path.exists("flag_out.json")
 
 
 # ---------------------------------------------------------------------------

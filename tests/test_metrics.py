@@ -49,11 +49,10 @@ def test_cost_equals_inverse_gram_trace():
 
 
 def _family_sets():
-    # SIC searches stop at n = 6: at n = 7 one search runs for minutes
     return ([yang_nolan(n) for n in range(2, 9)]
             + [mub_set(n) for n in (2, 3, 5, 7)]
             + [random_set(n, seed=n) for n in range(2, 9)]
-            + [sic_search(n, seed=0) for n in range(2, 7)])
+            + [sic_search(n, seed=0) for n in range(2, 11)])
 
 
 def test_metrics_routes_agree():

@@ -2,8 +2,8 @@
 
 Closed-form Grams, penalties and log-volumes are cross-checked against the
 constructed states; the SIC search is checked against its defining overlap
-property and a finite-difference oracle for its gradient; persistence is
-checked for exact round trips.
+property and a finite-difference oracle for its fiducial Jacobian;
+persistence is checked for exact round trips.
 """
 import json
 
@@ -17,8 +17,7 @@ from stokesopt.seeding import rng_for
 from stokesopt.sets import (
     LaunchSet,
     SimplexSet,
-    _frame_cost,
-    _frame_grad,
+    _fiducial_residuals,
     bundled_optimal_set,
     canonicalize_phases,
     gram_from_states,
@@ -151,14 +150,14 @@ def test_sic_log_volume_matches_gram_determinant(n):
     np.testing.assert_allclose(sic_log_volume(n), 0.5 * logdet, atol=1e-9)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", range(2, 11))
 def test_sic_search_reaches_equal_overlaps(n):
     s = sic_search(n, seed=0)
     assert s.family == "sic"
     assert s.states.shape == (n * n - 1, n)
     assert s.meta["residual"] < 1e-8
     built = gram_from_states(s.states, n)
-    np.testing.assert_allclose(built, sic_gram(n), atol=1e-7)
+    np.testing.assert_allclose(built, sic_gram(n), atol=1e-10)
     # output is phase-canonical
     for row in s.states:
         piv = row[int(np.argmax(np.abs(row)))]
@@ -194,19 +193,26 @@ def test_sic_search_rejects_bad_arguments():
         sic_search(2, starts=0)
 
 
-def test_frame_gradient_matches_finite_differences():
+def test_fiducial_jacobian_matches_finite_differences():
     h = 1e-6
-    for trial in range(5):
-        rng = rng_for(90, trial)
-        st = random_states(rng, 9, 3)
-        _, grad = _frame_grad(st)
-        d = rng.standard_normal(st.shape) + 1j * rng.standard_normal(st.shape)
-        # keep the probe tangent so the projected gradient is the right oracle
-        d -= st * np.sum(st.conj() * d, axis=1).real[:, None]
-        d /= np.linalg.norm(d)
-        fd = (_frame_cost(st + h * d) - _frame_cost(st - h * d)) / (2 * h)
-        an = float(np.sum(grad.conj() * d).real)
-        np.testing.assert_allclose(an, fd, rtol=1e-6, atol=1e-9)
+    for n in (2, 3, 5, 8):
+        x = rng_for(90, n).standard_normal(2 * n)
+        res, jac = _fiducial_residuals(x, n)
+        # residuals against explicit shift and clock matrices, (a, b) != 0
+        psi = x[:n] + 1j * x[n:]
+        shift = np.roll(np.eye(n), 1, axis=0)
+        clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+        want = [abs(psi.conj() @ np.linalg.matrix_power(shift, a)
+                    @ np.linalg.matrix_power(clock, b) @ psi) ** 2
+                for a in range(n) for b in range(n)][1:]
+        np.testing.assert_allclose(res, np.array(want) - 1.0 / (n + 1),
+                                   rtol=1e-12, atol=1e-12)
+        assert jac.shape == (n * n - 1, 2 * n)
+        fd = np.column_stack([
+            (_fiducial_residuals(x + h * e, n)[0]
+             - _fiducial_residuals(x - h * e, n)[0]) / (2 * h)
+            for e in np.eye(2 * n)])
+        np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
