@@ -374,8 +374,12 @@ def cmd_sweep(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _scenario_field(doc: dict, key: str, kind, where: str):
+def _scenario_field(doc: dict, key: str, kind, where: str, default=None):
+    """doc[key] checked against `kind`; an absent key is an error unless it
+    has a default."""
     if key not in doc:
+        if default is not None:
+            return default
         raise _InputError(f"{where}: missing field '{key}'")
     value = doc[key]
     accepted = (int, float) if kind is float else kind
@@ -385,18 +389,26 @@ def _scenario_field(doc: dict, key: str, kind, where: str):
     return float(value) if kind is float else value
 
 
+def _seed_field(doc: dict, key: str, where: str, default: int) -> int:
+    seed = _scenario_field(doc, key, int, where, default)
+    if seed < 0:
+        raise _InputError(f"{where}: field '{key}' must be a non-negative int")
+    return seed
+
+
 def _fiber_from(doc: dict, where: str) -> fibersim.FiberModel:
     fd = _scenario_field(doc, "fiber", dict, where)
     sub = f"{where}: fiber"
     n = _scenario_field(fd, "n", int, sub)
     tau0 = _scenario_field(fd, "tau0", float, sub)
     md = np.asarray(_scenario_field(fd, "md_vector", list, sub), dtype=float)
-    seed = fd.get("unitary_seed", 0)
+    seed = _seed_field(fd, "unitary_seed", sub, 0)
+    z = _scenario_field(fd, "z", float, sub, 1.0)
     try:
         if "pa_coeffs" in fd:
             return fibersim.synth_mdl_fiber(
                 n, np.asarray(fd["pa_coeffs"], dtype=float),
-                z=float(fd.get("z", 1.0)), seed=seed, tau0=tau0,
+                z=z, seed=seed, tau0=tau0,
                 md_vector=md,
                 pa_slope=(np.asarray(fd["pa_slope"], dtype=float)
                           if "pa_slope" in fd else None))
@@ -425,10 +437,10 @@ def _simulate_md(doc, fiber, scenario_path, where, args):
     ls = _launch_set_from(doc, scenario_path, where)
     rx = _receiver_from(doc, where)
     trials = _scenario_field(doc, "trials", int, where)
-    seed = doc.get("seed", 0)
+    seed = _seed_field(doc, "seed", where, 0)
     measurement = doc.get("measurement", "analytic")
     res = fibersim.monte_carlo_md(fiber, ls, rx, trials, seed=seed,
-                                  mode=measurement, workers=_cli_workers())
+                                  mode=measurement)
     mt = metrics(ls)
     summary = {
         "mode": "md", "n": fiber.n, "trials": trials,
@@ -447,9 +459,11 @@ def _simulate_mdl(doc, fiber, scenario_path, where, args):
     trials = _scenario_field(doc, "trials", int, where)
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    seed = doc.get("seed", 0)
-    rel_noise = float(doc.get("attenuation_rel_noise", 0.0))
-    sx = simplex_set(fiber.n, seed=doc.get("simplex_seed", seed))
+    seed = _seed_field(doc, "seed", where, 0)
+    rel_noise = _scenario_field(doc, "attenuation_rel_noise", float, where,
+                                0.0)
+    sx = simplex_set(fiber.n, seed=_seed_field(doc, "simplex_seed", where,
+                                               seed))
     alpha0_true, gamma_true = fibersim.mdl_parameters(fiber)
     ev = np.linalg.eigvalsh(fiber.loss_matrix(squared=True))
     ratio_true = float(ev[-1] / ev[0])
@@ -486,9 +500,10 @@ def _simulate_mdl(doc, fiber, scenario_path, where, args):
 def _simulate_joint(doc, fiber, scenario_path, where, args):
     ls = _launch_set_from(doc, scenario_path, where)
     rx = _receiver_from(doc, where)
-    seed = doc.get("seed", 0)
-    domega = float(doc.get("domega", 1.0))
-    sx = simplex_set(fiber.n, seed=doc.get("simplex_seed", seed))
+    seed = _seed_field(doc, "seed", where, 0)
+    domega = _scenario_field(doc, "domega", float, where, 1.0)
+    sx = simplex_set(fiber.n, seed=_seed_field(doc, "simplex_seed", where,
+                                               seed))
 
     est = fibersim.reconstruct_mdl(
         ls, sx,

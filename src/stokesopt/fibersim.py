@@ -11,6 +11,12 @@ reconstruction routines invert a launch set's Stokes coefficient matrix to
 recover the delay vector and the loss parameters, mirroring how the physical
 experiment would process the same records.
 
+Both delay readouts are linear in the receiver noise: launch i reads
+d_i + g_i . e, with d_i its noiseless delay, e i.i.d. Gaussian noise and g_i
+a fixed gain (1 in analytic mode, the first-moment weights over the
+noiseless windowed energy in waveform mode).  measure_delay, estimate_tau0
+and monte_carlo_md all compute (d, g) once per launch and then only draw e.
+
 Units are SI throughout: seconds, Hz, rad/s for the frequency detuning,
 watts, amperes, joules, metres.  Mixing propagation quantities (delays)
 with receiver quantities (noise PSD, responsivity, pulse energy) is exactly
@@ -22,6 +28,7 @@ is supplied.  Nonlinearity and distributed mode coupling are out of scope.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,10 +46,10 @@ from .gellmann import (
     assemble,
     expand_matrix,
     jones_to_stokes,
+    jones_to_stokes_batch,
     norm_coeff,
 )
 from .metrics import variance_prediction
-from .parallel import pool_map, resolve_workers
 from .seeding import rng_for
 from .sets import LaunchSet, SimplexSet, haar_unitary
 
@@ -119,6 +126,8 @@ class FiberModel:
                 f"md_vector for n={n} needs shape ({n * n - 1},), got {md.shape}")
         if not np.all(np.isfinite(md)):
             raise ConfigError("md_vector must be finite")
+        if not math.isfinite(self.tau0):
+            raise ConfigError(f"tau0 must be finite, got {self.tau0}")
         u = np.asarray(self.base_unitary, dtype=complex)
         if u.shape != (n, n):
             raise DimensionError(f"base_unitary must be ({n}, {n}), got {u.shape}")
@@ -147,6 +156,8 @@ class FiberModel:
             sl = np.asarray(self.pa_slope, dtype=float)
             if sl.shape != (n,):
                 raise DimensionError(f"pa_slope must have shape ({n},)")
+            if not np.all(np.isfinite(sl)):
+                raise ConfigError("pa_slope must be finite")
             self.pa_slope = sl
         self.md_vector = md
         self.base_unitary = u
@@ -408,11 +419,13 @@ def numeric_gd_expansion(f: FiberModel, domega: float) -> HermitianExpansion:
 # Delay measurement
 # ---------------------------------------------------------------------------
 
-def group_delay(f: FiberModel, state) -> float:
-    """Narrowband pulse delay tau0 + md_vector . s_hat / (2 c_n^2)."""
-    shat = jones_to_stokes(state)
-    c = norm_coeff(f.n)
-    return f.tau0 + float(f.md_vector @ shat) / (2.0 * c * c)
+def group_delay(f: FiberModel, states):
+    """Narrowband pulse delay tau0 + md_vector . s_hat / (2 c_n^2) of a unit
+    launch state (n,), as a float, or of each row of a (k, n) stack."""
+    states = np.asarray(states, dtype=complex)
+    shat = jones_to_stokes_batch(states if states.ndim == 2 else states[None])
+    delays = f.tau0 + shat @ f.md_vector / (2.0 * norm_coeff(f.n) ** 2)
+    return delays if states.ndim == 2 else float(delays[0])
 
 
 def _rng_from(seed) -> np.random.Generator:
@@ -421,95 +434,92 @@ def _rng_from(seed) -> np.random.Generator:
     return rng_for(seed)
 
 
-def _dispersed_states(f: FiberModel, state: np.ndarray,
-                      domegas: np.ndarray) -> np.ndarray:
-    """exp(-i * delay_operator * domega) state for a batch of detunings.
-
-    The leading U(0) is dropped: it is frequency-flat and unitary, so it
-    cannot change the detected total intensity.
-    """
-    d, v = np.linalg.eigh(delay_operator(f))
-    coeff = v.conj().T @ state
-    phases = np.exp(-1j * np.outer(domegas, d))
-    return (phases * coeff) @ v.T
-
-
 def _launch_state(f: FiberModel, state) -> np.ndarray:
     """`state` as a complex (n,) array; rejects a wrong shape or norm."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (f.n,):
         raise DimensionError(
             f"launch state must have shape ({f.n},), got {state.shape}")
-    if abs(np.linalg.norm(state) - 1.0) > 1e-10:
+    if abs(math.sqrt(np.vdot(state, state).real) - 1.0) > 1e-10:
         raise DimensionError("launch state must be unit norm")
     return state
 
 
-def _noiseless_pulse(f: FiberModel, state: np.ndarray,
-                     rx: ReceiverModel) -> tuple:
-    """The detected pulse without receiver noise (Gaussian spectrum,
-    per-frequency modal propagation, total intensity times responsivity)
-    as (sample times (s), Simpson 3/8 weights (s), photocurrent (A), its
-    windowed integral (C))."""
+@functools.lru_cache(maxsize=None)
+def _unit_gain(k: int) -> np.ndarray:
+    """Read-only (k, 1) ones, the analytic noise gain, built once per k:
+    np.ones is a measurable share of one analytic measure_delay call."""
+    gain = np.ones((k, 1))
+    gain.flags.writeable = False
+    return gain
+
+
+def _readout(f: FiberModel, states: np.ndarray, rx: ReceiverModel,
+             mode: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """(delays, gain, sigma) of unit launches `states` (k, n): launch i
+    reads delays[i] + gain[i] . e, with e i.i.d. N(0, sigma^2).
+
+    Analytic: the narrowband delay, one draw (gain 1).  Waveform: the Simpson
+    3/8 first moment of the noiseless detected pulse over its windowed energy
+    E_i, one draw per sample (gain weights * t / E_i).  That intensity is the
+    power-weighted sum of the n principal-mode pulses, each delayed by its
+    eigen-delay; the frequency-flat U(0) cannot change it.
+    """
+    if mode not in DELAY_MODES:
+        raise ConfigError(f"mode must be one of {DELAY_MODES}, got {mode!r}")
+    if mode == "analytic":
+        return (group_delay(f, states), _unit_gain(len(states)),
+                math.sqrt(rx.delay_variance))
     t = rx.time_grid()
-    count = rx.sample_count
+    weights = rx.quadrature_weights()
     peak = rx.energy / (rx.pulse_width * math.sqrt(math.pi))
     amp = math.sqrt(peak) * np.exp(-(t * t) / (2.0 * rx.pulse_width ** 2))
-    spectrum = np.fft.fft(amp)
-    domegas = 2.0 * np.pi * np.fft.fftfreq(count, d=1.0 / rx.sample_rate)
-    modes = _dispersed_states(f, state, domegas)
-    fields = np.fft.ifft(spectrum[:, None] * modes, axis=0)
-    intensity = np.einsum("km,km->k", fields, fields.conj()).real
-    signal = rx.responsivity * intensity
-    weights = rx.quadrature_weights()
-    return t, weights, signal, float(weights @ signal)
+    domegas = 2.0 * np.pi * np.fft.fftfreq(rx.sample_count,
+                                           d=1.0 / rx.sample_rate)
+    eig_delays, pms = np.linalg.eigh(delay_operator(f))
+    mode_pulses = np.fft.ifft(np.fft.fft(amp)[:, None]
+                              * np.exp(-1j * np.outer(domegas, eig_delays)),
+                              axis=0)
+    # einsum, unlike BLAS, rounds each launch the same at any k, so
+    # measure_delay and the batched callers read identical noiseless delays
+    powers = np.abs(np.einsum("kn,nj->kj", states, pms.conj())) ** 2
+    signal = rx.responsivity * np.einsum("kj,pj->kp", powers,
+                                         np.abs(mode_pulses) ** 2)
+    energy = np.einsum("kp,p->k", signal, weights)
+    return (np.einsum("kp,p->k", signal * t, weights) / energy,
+            weights * t / energy[:, None], math.sqrt(rx.sample_noise_variance))
 
 
-def _first_moment(pulse: tuple, rx: ReceiverModel,
-                  rng: np.random.Generator | None) -> float:
-    """Delay read from `pulse` plus per-sample receiver noise from `rng`
-    (none when rng is None).
-
-    The first moment is normalized by the noiseless windowed energy, so
-    receiver noise enters the estimate linearly and the analytic variance
-    applies.
-    """
-    t, weights, signal, denom = pulse
-    if rng is not None:
-        sigma = math.sqrt(rx.sample_noise_variance)
-        signal = signal + rng.normal(0.0, sigma, rx.sample_count)
-    return float(weights @ (t * signal)) / denom
+def _noisy_reads(delays: np.ndarray, gain: np.ndarray, sigma: float,
+                 rng: np.random.Generator, rows: int) -> np.ndarray:
+    """`rows` readouts (rows, k) of one launch batch, noise drawn in order."""
+    noise = rng.normal(0.0, sigma, (rows, *gain.shape))
+    return delays + np.einsum("tkp,kp->tk", noise, gain)
 
 
 def measure_delay(f: FiberModel, state, rx: ReceiverModel,
                   mode: str = "analytic", seed=None,
                   launch_index: int = -1) -> MeasurementRecord:
-    """One group-delay readout for a unit launch state.
+    """One group-delay readout d + g . e for a unit launch state.
 
-    Analytic mode evaluates the narrowband delay directly and, for a noisy
-    receiver, adds Gaussian noise with the closed-form variance.  Waveform
-    mode synthesizes the detected pulse: Gaussian spectrum, per-frequency
-    modal propagation, total intensity, optional per-sample current noise,
-    then the Simpson 3/8 first moment over the window.
-
-    Both modes read the delay of the unitary part only; attenuation has its
-    own measurement channel.  `seed` (int or tuple of ints) is required
-    whenever rx.noise_psd > 0.
+    Analytic mode adds Gaussian noise of the closed-form variance to the
+    narrowband delay.  Waveform mode synthesizes the detected pulse
+    (Gaussian spectrum, per-frequency modal propagation, total intensity)
+    and reads the Simpson 3/8 first moment of it plus per-sample current
+    noise, over the noiseless windowed energy.  Both read the delay of the
+    unitary part only; attenuation has its own channel.  `seed` (int or
+    tuple of ints) is required whenever rx.noise_psd > 0.
     """
     state = _launch_state(f, state)
-    if mode not in DELAY_MODES:
-        raise ConfigError(f"mode must be one of {DELAY_MODES}, got {mode!r}")
     noisy = rx.noise_psd > 0.0
     if noisy and seed is None:
         raise ConfigError("a seed is required for a noisy receiver")
-    rng = _rng_from(seed) if noisy else None
-    if mode == "analytic":
-        value = group_delay(f, state)
-        if noisy:
-            value += rng.normal(0.0, math.sqrt(rx.delay_variance))
-    else:
-        value = _first_moment(_noiseless_pulse(f, state, rx), rx, rng)
-    return MeasurementRecord(launch_index=launch_index, value=float(value),
+    delays, gain, sigma = _readout(f, state[None, :], rx, mode)
+    value = float(delays[0])
+    if noisy:
+        value += float(np.vdot(gain, _rng_from(seed).normal(0.0, sigma,
+                                                            gain.shape)))
+    return MeasurementRecord(launch_index=launch_index, value=value,
                              kind="delay", mode=mode, seed=seed)
 
 
@@ -520,7 +530,8 @@ def estimate_tau0(f: FiberModel, rx: ReceiverModel, simplex: SimplexSet,
 
     The simplex Stokes images sum to zero, so the mean kills the delay
     vector's contribution; noiseless analytic mode returns tau0 exactly and
-    the noisy estimator variance is delay_variance / (repeats * n).
+    the noisy estimator variance is delay_variance / (repeats * n).  The
+    noise comes from the `seed` stream in (repeat, launch) order.
     """
     if repeats < 1:
         raise ConfigError("repeats must be at least 1")
@@ -530,14 +541,10 @@ def estimate_tau0(f: FiberModel, rx: ReceiverModel, simplex: SimplexSet,
     noisy = rx.noise_psd > 0.0
     if noisy and seed is None:
         raise ConfigError("a seed is required for a noisy receiver")
-    base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    values = np.empty((repeats, simplex.n))
-    for rep in range(repeats):
-        for idx in range(simplex.n):
-            sub = (*base, rep, idx) if noisy else None
-            values[rep, idx] = measure_delay(
-                f, simplex.states[idx], rx, mode, sub, launch_index=idx).value
-    return float(np.mean(values))
+    delays, gain, sigma = _readout(f, simplex.states, rx, mode)
+    if noisy:
+        delays = _noisy_reads(delays, gain, sigma, _rng_from(seed), repeats)
+    return float(np.mean(delays))
 
 
 # ---------------------------------------------------------------------------
@@ -574,77 +581,51 @@ def scaled_delay_variance(rx: ReceiverModel, n: int) -> float:
     return (2.0 * c * c) ** 2 * rx.delay_variance
 
 
-def _mc_analytic_errors(launch_set, s_mat, rx, seed, first, last):
-    c = norm_coeff(launch_set.n)
-    sigma = math.sqrt(rx.delay_variance)
-    noise = np.empty((last - first, launch_set.m))
-    for tdx in range(first, last):
-        noise[tdx - first] = rng_for(seed, tdx).normal(0.0, sigma,
-                                                       launch_set.m)
-    return np.linalg.solve(s_mat, (2.0 * c * c * noise).T).T
-
-
-def _mc_waveform_errors(args):
-    f, launch_set, rx, seed, first, last = args
-    pulses = [_noiseless_pulse(f, s, rx) for s in launch_set.states]
-    errors = np.empty((last - first, launch_set.m))
-    for tdx in range(first, last):
-        values = np.array([_first_moment(p, rx, rng_for(seed, tdx, i))
-                           for i, p in enumerate(pulses)])
-        errors[tdx - first] = (reconstruct_md(launch_set, values, f.tau0)
-                               - f.md_vector)
-    # a non-finite delay makes its trial's solved error row non-finite, so
-    # one check per chunk applies the finiteness rule of MeasurementRecord
-    if not np.all(np.isfinite(errors)):
-        raise ConfigError("measurement value must be finite")
-    return errors
+# noise values drawn per block, so memory stays flat in the trial count
+_DRAW_BLOCK = 1 << 20
+# SeedSequence drops trailing zero words: rng_for(seed) is rng_for(seed, 0),
+# which builds a fiber's unitary, so the noise draws from a stream of its own
+_NOISE_STREAM = 303
 
 
 def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
                    trials: int, seed: int = 0,
-                   mode: str = "analytic",
-                   workers: int | None = None) -> dict:
+                   mode: str = "analytic") -> dict:
     """Repeat the delay-vector measurement and tabulate the errors.
 
-    Trial t draws its noise from the (seed, t) substream, so results do not
-    depend on scheduling; accumulation relies on numpy pairwise summation.
-    Analytic mode exploits that the error is linear in the noise and solves
-    all trials in one call.  Waveform mode synthesizes each launch's
-    noiseless pulse once, then draws receiver noise per pulse from the
-    (seed, t, launch) substream, exactly as measure_delay would.  It splits
-    the trials into chunks over up to `workers` processes; None reads
-    STOKES_OPT_THREADS (default serial).  Results do not depend on it, and
-    analytic mode always runs in this process.
-
-    Returns a dict with the per-trial squared error norms, their mean, the
-    closed-form prediction scaled_delay_variance * xi, the mean error
-    vector and the empirical covariance.
+    The readouts d + g . e draw their noise from one stream of seed in trial
+    order, in bounded blocks, so the first t trials do not depend on the run
+    length; one multi-right-hand-side solve reconstructs every trial.
+    Returns the per-trial squared error norms, their mean, the closed-form
+    prediction scaled_delay_variance * xi, the mean error vector and the
+    empirical covariance.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    if mode not in DELAY_MODES:
-        raise ConfigError(f"mode must be one of {DELAY_MODES}, got {mode!r}")
     if launch_set.n != f.n:
         raise DimensionError(
             f"launch set has {launch_set.n} modes, fiber has {f.n}")
     if rx.noise_psd <= 0:
         raise ConfigError("monte_carlo_md needs a noisy receiver")
-    if mode == "analytic":
-        s_mat = launch_set.stokes_matrix()
-        try:
-            errors = _mc_analytic_errors(launch_set, s_mat, rx, seed,
-                                         0, trials)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSetError(
-                "stokes coefficient matrix is singular") from exc
-    else:
-        for s in launch_set.states:
-            _launch_state(f, s)
-        workers = resolve_workers(workers)
-        chunk = -(-trials // max(workers, 1))
-        jobs = [(f, launch_set, rx, seed, a, min(a + chunk, trials))
-                for a in range(0, trials, chunk)]
-        errors = np.vstack(pool_map(_mc_waveform_errors, jobs, workers))
+    delays, gain, sigma = _readout(f, launch_set.states, rx, mode)
+    rng = rng_for(seed, _NOISE_STREAM)
+    block = max(1, _DRAW_BLOCK // gain.size)
+    reads = np.empty((trials, launch_set.m))
+    for first in range(0, trials, block):
+        last = min(first + block, trials)
+        reads[first:last] = _noisy_reads(delays, gain, sigma, rng,
+                                         last - first)
+    c = norm_coeff(f.n)
+    try:
+        solved = np.linalg.solve(launch_set.stokes_matrix(),
+                                 2.0 * c * c * (reads - f.tau0).T)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSetError("stokes coefficient matrix is singular") from exc
+    errors = solved.T - f.md_vector
+    # a non-finite delay makes its trial's error row non-finite, so one
+    # check applies the finiteness rule of MeasurementRecord
+    if not np.all(np.isfinite(errors)):
+        raise ConfigError("measurement value must be finite")
     sq = np.einsum("tm,tm->t", errors, errors)
     return {
         "trials": trials,

@@ -1,9 +1,9 @@
-"""Process-pool fan-out shared by multi-start search and waveform Monte Carlo.
+"""Process-pool fan-out for multi-start search.
 
 Callers pass an explicit worker count; `None` falls back to the
 STOKES_OPT_THREADS environment variable, and to serial execution when that
-is unset.  Jobs draw their randomness from rng_for substreams, so results do
-not depend on the worker count.
+is unset.  Each start draws its randomness from its own rng_for substream,
+so results do not depend on the worker count.
 """
 from __future__ import annotations
 

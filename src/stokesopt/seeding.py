@@ -1,9 +1,10 @@
 """Deterministic RNG streams.
 
 Every stochastic entry point takes an integer seed and derives independent
-substreams through a counter-based Philox generator keyed by SeedSequence, so
-trial i of a Monte-Carlo run or start j of a multi-start search draws the same
-numbers no matter how work is scheduled across workers.
+substreams through a counter-based Philox generator keyed by SeedSequence.
+Each start of a multi-start search draws from its own stream, so it gets
+the same numbers however the starts are scheduled across workers.  A
+Monte-Carlo run draws all its trials from one stream, in trial order.
 """
 from __future__ import annotations
 

@@ -415,27 +415,77 @@ def test_simulate_input_errors(capsys):
                    fiber={"n": 2, "tau0": 0.0, "md_vector": [0.0, 0.0, 0.0],
                           "pa_coeffs": [-1.0, 0.1]})
     assert run_cli("simulate", "--scenario", "badfiber.json") == 4
+    for key, value in (("tau0", math.inf), ("pa_slope", [math.nan, 0.0])):
+        capsys.readouterr()
+        write_scenario("inf.json", mode="md", launch_set="x.json",
+                       fiber=dict(TWO_MODE_FIBER, pa_coeffs=[0.1, 0.4],
+                                  **{key: value}))
+        assert run_cli("simulate", "--scenario", "inf.json") == 4
+        assert f"{key} must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("path", [("trials",), ("fiber", "n"),
-                                  ("fiber", "tau0")])
+LOSSY_FIBER = dict(TWO_MODE_FIBER, unitary_seed=2, pa_coeffs=[0.1, 0.4],
+                   z=1.0)
+SCENARIOS = {
+    "md": {"mode": "md", "seed": 3, "trials": 4, "launch_set": "mub2.json",
+           "fiber": TWO_MODE_FIBER, "receiver": NOISY_RECEIVER},
+    "mdl": {"mode": "mdl", "seed": 3, "trials": 4, "launch_set": "mub2.json",
+            "fiber": LOSSY_FIBER, "attenuation_rel_noise": 0.01,
+            "simplex_seed": 1},
+    "joint": {"mode": "joint", "seed": 0, "domega": 1e6,
+              "launch_set": "mub2.json", "fiber": LOSSY_FIBER,
+              "receiver": CLEAN_RECEIVER},
+}
+SEED_FIELDS = {"seed", "simplex_seed", "unitary_seed"}
+INT_FIELDS = {"trials", "n"} | SEED_FIELDS
+
+
+@pytest.mark.parametrize("path", [
+    ("md", "trials"), ("md", "fiber", "n"), ("md", "fiber", "tau0"),
+    ("md", "seed"), ("mdl", "seed"), ("mdl", "simplex_seed"),
+    ("joint", "simplex_seed"), ("md", "fiber", "unitary_seed"),
+    ("mdl", "attenuation_rel_noise"), ("joint", "domega"),
+    ("mdl", "fiber", "z")])
 def test_simulate_rejects_boolean_numbers(capsys, path):
-    # bool subclasses int in Python; JSON true must not pass as 1
+    # bool subclasses int in Python; JSON true must not pass as 1, nor a
+    # string or a fraction where a number or an integer is required
     assert run_cli("gen-set", "--family", "mub", "--n", "2",
                    "--out", "mub2.json") == 0
-    capsys.readouterr()
-    doc = {"mode": "md", "seed": 3, "trials": 4, "launch_set": "mub2.json",
-           "fiber": dict(TWO_MODE_FIBER), "receiver": NOISY_RECEIVER}
-    *parents, key = path
-    target = doc
-    for parent in parents:
-        target = target[parent]
-    target[key] = True
-    write_scenario("flag.json", **doc)
-    assert run_cli("simulate", "--scenario", "flag.json",
-                   "--out", "flag_out.json") == 4
-    assert f"field '{key}' must be" in capsys.readouterr().err
-    assert not os.path.exists("flag_out.json")
+    mode, *parents, key = path
+    bads = ((True, "x") + ((1.5,) if key in INT_FIELDS else ())
+            + ((-1,) if key in SEED_FIELDS else ()))
+    for bad in bads:
+        capsys.readouterr()
+        doc = json.loads(json.dumps(SCENARIOS[mode]))
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[key] = bad
+        write_scenario("flag.json", **doc)
+        assert run_cli("simulate", "--scenario", "flag.json",
+                       "--out", "flag_out.json") == 4, bad
+        assert f"field '{key}' must be" in capsys.readouterr().err
+        assert not os.path.exists("flag_out.json")
+
+
+@pytest.mark.parametrize("measurement", ["analytic", "waveform"])
+def test_simulate_md_rerun_is_byte_identical(measurement):
+    assert run_cli("gen-set", "--family", "mub", "--n", "2",
+                   "--out", "mub2.json") == 0
+    write_scenario("md.json", **dict(SCENARIOS["md"], trials=50,
+                                     measurement=measurement))
+    argv = ("simulate", "--scenario", "md.json", "--out", "r.json",
+            "--trials-out", "r.csv")
+    assert run_cli(*argv) == 0
+    for name in ("r.json", "r.csv", "r.manifest.json"):
+        shutil.copy(name, "keep_" + name)
+    assert run_cli(*argv) == 0
+    for name in ("r.json", "r.csv"):
+        assert filecmp.cmp(name, "keep_" + name, shallow=False)
+    before = read_json("keep_r.manifest.json")
+    after = read_json("r.manifest.json")
+    differing = {k for k in before if before[k] != after[k]}
+    assert differing <= {"timestamp", "wall_time_s"}
 
 
 # ---------------------------------------------------------------------------

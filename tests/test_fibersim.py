@@ -5,6 +5,7 @@ generator, the waveform readout against the analytic narrowband law, the
 noise formulas against Monte-Carlo runs with frozen seeds, and the loss
 reconstruction against closed forms evaluated on the true model.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -137,6 +138,12 @@ def test_fiber_model_rejects_bad_inputs():
         fsim.FiberModel(2, 0.0, np.zeros(3), eye, pa_slope=np.ones(2))
     with pytest.raises(ConfigError, match="finite"):
         fsim.FiberModel(2, 0.0, np.array([np.inf, 0.0, 0.0]), eye)
+    for tau0 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="tau0 must be finite"):
+            fsim.FiberModel(2, tau0, np.zeros(3), eye)
+    with pytest.raises(ConfigError, match="pa_slope must be finite"):
+        fsim.FiberModel(2, 0.0, np.zeros(3), eye, pa_coeffs=np.ones(2),
+                        pa_modes=eye, pa_slope=np.array([math.nan, 0.0]))
 
 
 def test_receiver_rejects_bad_configs():
@@ -384,49 +391,94 @@ def test_monte_carlo_waveform_mode_and_parallel_merge(monkeypatch):
     rx = noisy_receiver()
     f = fsim.FiberModel(2, tau0=PS, md_vector=np.array([0.0, 0.0, 2 * PS]),
                         base_unitary=np.eye(2))
-    monkeypatch.delenv("STOKES_OPT_THREADS", raising=False)
-    serial = fsim.monte_carlo_md(f, mub_set(2), rx, 120, seed=3,
-                                 mode="waveform")
-    assert 0.9 < serial["mean_sq_error"] / serial["predicted_mean_sq"] < 1.3
-    monkeypatch.setenv("STOKES_OPT_THREADS", "3")
-    pooled = fsim.monte_carlo_md(f, mub_set(2), rx, 120, seed=3,
-                                 mode="waveform")
-    assert np.array_equal(serial["sq_errors"], pooled["sq_errors"])
+    out = fsim.monte_carlo_md(f, mub_set(2), rx, 120, seed=3,
+                              mode="waveform")
+    assert 0.9 < out["mean_sq_error"] / out["predicted_mean_sq"] < 1.3
+    # trial t's noise depends neither on the run length nor on how the
+    # draws are split into blocks; the n=4 waveform run crosses a block
+    # boundary at the default block size
+    for fiber, launch in ((f, mub_set(2)),
+                          (random_fiber(4, seed=4), bundled_optimal_set())):
+        for mode in fsim.DELAY_MODES:
+            def run(trials):
+                return fsim.monte_carlo_md(fiber, launch, rx, trials, seed=3,
+                                           mode=mode)["sq_errors"]
+            long = run(333)
+            np.testing.assert_allclose(long[:20], run(20), rtol=1e-12,
+                                       atol=0, err_msg=mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(fsim, "_DRAW_BLOCK", 1)
+                np.testing.assert_allclose(run(333), long, rtol=1e-12,
+                                           atol=0, err_msg=mode)
 
 
-def _waveform_mc_reference(f, ls, rx, trials, seed):
-    """Waveform Monte Carlo rebuilt from one measure_delay per pulse."""
-    errors = np.empty((trials, ls.m))
-    for t in range(trials):
-        records = [fsim.measure_delay(f, s, rx, "waveform", (seed, t, i))
-                   for i, s in enumerate(ls.states)]
-        errors[t] = fsim.reconstruct_md(ls, records, f.tau0) - f.md_vector
-    return {"sq_errors": np.einsum("tm,tm->t", errors, errors),
-            "mean_error": errors.mean(axis=0),
-            "covariance": errors.T @ errors / trials}
+def _noiseless_pulse(f, state, rx):
+    """Detected photocurrent of one launch without receiver noise, built
+    frequency by frequency from propagate_unitary."""
+    t = rx.time_grid()
+    peak = rx.energy / (rx.pulse_width * math.sqrt(math.pi))
+    amp = math.sqrt(peak) * np.exp(-0.5 * (t / rx.pulse_width) ** 2)
+    domegas = 2 * np.pi * np.fft.fftfreq(t.size, d=1.0 / rx.sample_rate)
+    spectra = np.array([fsim.propagate_unitary(f, dw) @ state
+                        for dw in domegas])
+    fields = np.fft.ifft(np.fft.fft(amp)[:, None] * spectra, axis=0)
+    return rx.responsivity * np.sum(np.abs(fields) ** 2, axis=1)
+
+
+def _waveform_reference_reads(f, states, rx, rng, rows):
+    """Noisy waveform delays, one launch at a time: the clean readout plus
+    the first moment of a noise row over the noiseless windowed energy, the
+    rows drawn from rng in (row, launch) order.
+
+    The moment is taken term by term because adding microampere noise
+    samples to a pulse of tens of milliamperes before the sum rounds away
+    about 1e-12 of the noise.
+    """
+    clean = dataclasses.replace(rx, noise_psd=0.0)
+    t, w = rx.time_grid(), rx.quadrature_weights()
+    sigma = math.sqrt(rx.sample_noise_variance)
+    delays = [fsim.measure_delay(f, s, clean, "waveform").value
+              for s in states]
+    pulses = [_noiseless_pulse(f, s, rx) for s in states]
+    energies = [w @ pulse for pulse in pulses]
+    # the clean readout is itself checked against this independent synthesis
+    np.testing.assert_allclose(
+        delays, [w @ (t * p) / e for p, e in zip(pulses, energies)],
+        rtol=1e-11, atol=0)
+    reads = np.empty((rows, len(states)))
+    for row in range(rows):
+        for i, (delay, energy) in enumerate(zip(delays, energies)):
+            noise = rng.normal(0.0, sigma, t.size)
+            reads[row, i] = delay + w @ (t * noise) / energy
+    return reads
 
 
 @pytest.mark.parametrize("n, launch", [(2, mub_set(2)),
                                        (4, bundled_optimal_set())])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_waveform_monte_carlo_matches_per_pulse_reference(n, launch, workers):
+def test_waveform_monte_carlo_matches_per_pulse_reference(n, launch):
     f = random_fiber(n, seed=n)
-    ref = _waveform_mc_reference(f, launch, noisy_receiver(), 12, seed=7)
-    out = fsim.monte_carlo_md(f, launch, noisy_receiver(), 12, seed=7,
-                              mode="waveform", workers=workers)
+    rx = noisy_receiver()
+    reads = _waveform_reference_reads(
+        f, launch.states, rx, rng_for(7, fsim._NOISE_STREAM), 12)
+    errors = np.array([fsim.reconstruct_md(launch, r, f.tau0) - f.md_vector
+                       for r in reads])
+    ref = {"sq_errors": np.einsum("tm,tm->t", errors, errors),
+           "mean_error": errors.mean(axis=0),
+           "covariance": errors.T @ errors / len(errors)}
+    out = fsim.monte_carlo_md(f, launch, rx, 12, seed=7, mode="waveform")
     for key, want in ref.items():
-        assert np.array_equal(out[key], want), key
+        np.testing.assert_allclose(out[key], want, rtol=1e-12, atol=0,
+                                   err_msg=key)
 
 
 def test_waveform_tau0_matches_measure_delay_mean():
     f = random_fiber(4, seed=3)
     sx = simplex_set(4, seed=1)
     rx = noisy_receiver()
-    values = [[fsim.measure_delay(f, s, rx, "waveform", (5, 9, rep, idx)).value
-               for idx, s in enumerate(sx.states)] for rep in range(3)]
+    reads = _waveform_reference_reads(f, sx.states, rx, rng_for(5, 9), 3)
     got = fsim.estimate_tau0(f, rx, sx, repeats=3, seed=(5, 9),
                              mode="waveform")
-    assert got == float(np.mean(np.array(values)))
+    assert math.isclose(got, float(np.mean(reads)), rel_tol=1e-12)
 
 
 def test_monte_carlo_rejects_bad_arguments():
