@@ -5,9 +5,10 @@ Library layout:
     gellmann   Gell-Mann basis, Jones/Stokes maps, hyperspherical chart
     sets       launch-set families (Yang-Nolan, MUB, SIC, random, simplex)
     metrics    Gram matrix, noise-amplification cost, set diagnostics
-    optimize   gradient descent on the product of state spheres
+    spheres    two-phase descent loop on products of spheres
+    optimize   cost, gradients and multi-start descent (serial by default)
     fibersim   simulated modal-dispersion / mode-dependent-loss measurement
-    parallel   process-pool fan-out with an explicit worker count
+    seeding    deterministic RNG streams
     cli        command-line front end (`stokesopt ...`)
 """
 from __future__ import annotations

@@ -55,7 +55,6 @@ from .optimize import (
     jitter_set,
     multi_start,
 )
-from .parallel import resolve_workers
 from .sets import (
     LaunchSet,
     canonicalize_phases,
@@ -229,7 +228,14 @@ def _starts_rows(runs) -> list:
 
 def _cli_workers() -> int:
     """Pool width for the CLI: STOKES_OPT_THREADS, else every core."""
-    return resolve_workers(None, default=os.cpu_count() or 1)
+    raw = os.environ.get("STOKES_OPT_THREADS")
+    if raw is None:
+        return os.cpu_count() or 1
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(
+            f"STOKES_OPT_THREADS must be an integer, got {raw!r}") from None
 
 
 _STARTS_HEADER = ("start,algorithm,initial_xi,final_xi,grad_norm,"
@@ -497,6 +503,11 @@ def _simulate_mdl(doc, fiber, scenario_path, where, args):
     return summary, ("trial,gamma_sq_error,alpha0,mdl_ratio", trial_rows)
 
 
+# receiver-noise streams of a joint run; rng_for(seed) is rng_for(seed, 0),
+# which builds a fiber's unitary, so the noise keeps to tags of its own
+_TAU0_STREAM, _DELAY_STREAM = 401, 402
+
+
 def _simulate_joint(doc, fiber, scenario_path, where, args):
     ls = _launch_set_from(doc, scenario_path, where)
     rx = _receiver_from(doc, where)
@@ -512,13 +523,16 @@ def _simulate_joint(doc, fiber, scenario_path, where, args):
     equalized = fibersim.equalize(fiber, est)
     w = equalized.base_unitary
     unitarity = float(np.max(np.abs(w.conj().T @ w - np.eye(fiber.n))))
-    tau0_est = fibersim.estimate_tau0(equalized, rx, sx)
-    records = [fibersim.measure_delay(equalized, s, rx) for s in ls.states]
+    tau0_est = fibersim.estimate_tau0(equalized, rx, sx,
+                                      seed=(seed, _TAU0_STREAM))
+    records = [fibersim.measure_delay(equalized, s, rx,
+                                      seed=(seed, _DELAY_STREAM, i))
+               for i, s in enumerate(ls.states)]
     md_est = fibersim.reconstruct_md(ls, records, tau0_est)
     composed = fibersim.compose_gd_operator(
         fiber.n, tau0_est, md_est, fibersim.loss_matrix_from_estimate(est))
     direct = fibersim.full_gd_operator(fiber, domega)
-    scale = float(np.max(np.abs(direct.dmgds)))
+    scale = max(float(np.max(np.abs(direct.dmgds))), 1e-300)
     deviation = float(np.max(np.abs(composed.dmgds - direct.dmgds)) / scale)
     alpha0_true, gamma_true = fibersim.mdl_parameters(fiber)
     md_scale = max(float(np.max(np.abs(fiber.md_vector))), 1e-300)
@@ -526,7 +540,8 @@ def _simulate_joint(doc, fiber, scenario_path, where, args):
         "mode": "joint", "n": fiber.n, "domega": domega,
         "set_family": ls.family,
         "equalizer_unitarity": unitarity,
-        "tau0_rel_error": abs(tau0_est - fiber.tau0) / abs(fiber.tau0),
+        "tau0_rel_error":
+            abs(tau0_est - fiber.tau0) / max(abs(fiber.tau0), 1e-300),
         "md_max_rel_error":
             float(np.max(np.abs(md_est - fiber.md_vector))) / md_scale,
         "gamma_max_abs_error":

@@ -5,6 +5,7 @@ walks the states directly on the product of unit spheres (tangent gradient
 plus renormalization), "hyperspherical" walks the unconstrained angle chart
 of each state.  Both run the shared two-phase loop: normalized fixed steps
 while the cost is far above the orthonormal bound, then Armijo backtracking.
+A caller sets the algorithm, iteration cap and seed; the rest is fixed.
 
 The cost gradient is exact and analytic.  Writing the Gram entries as
 G_jk = (n/(n-1)) (|<s_j|s_k>|^2 - |s_j|^2 |s_k|^2 / n) extends the cost
@@ -22,6 +23,7 @@ for its gradient.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,6 @@ from .gellmann import (
     jones_to_hyperspherical,
 )
 from .metrics import _cholesky_lower
-from .parallel import pool_map, resolve_workers
 from .sets import LaunchSet, canonicalize_phases, random_set
 from .seeding import rng_for
 
@@ -58,22 +59,19 @@ ALGORITHMS = ("hyperspherical", "projected")
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Descent settings; None leaves a field on its dimension-aware default.
+    """Descent settings: the algorithm, the iteration cap and the seed of
+    the first multi-start set.
 
-    grad_tol defaults to 1e-9 (n^2 - 1); the fixed phase-1 step defaults to
-    0.01 sqrt(n_params) with n_params the real parameter count of the chosen
-    parameterization.  Phase 1 engages while the cost exceeds
-    normalized_phase_threshold times the orthonormal bound n^2 - 1.
+    The rest of the descent is fixed.  With m = n^2 - 1 it stops once the
+    gradient norm is at most 1e-9 m, and phase 1 takes normalized steps of
+    0.01 sqrt(n_params) (n_params the real parameter count of the chosen
+    parameterization) while the cost exceeds 10 m, ten times the orthonormal
+    bound.  The Armijo search uses fraction 0.3, backtracking factor 0.5 and
+    first trial step 1 (the constants in `spheres`).
     """
 
     algorithm: str = "hyperspherical"
     max_iters: int = 100_000
-    grad_tol: float | None = None
-    normalized_phase_threshold: float = 10.0
-    normalized_phase_step: float | None = None
-    backtracking_alpha: float = 0.3
-    backtracking_beta: float = 0.5
-    initial_step: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -82,18 +80,6 @@ class OptimizerConfig:
                 f"unknown algorithm {self.algorithm!r}, pick from {ALGORITHMS}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if self.grad_tol is not None and self.grad_tol <= 0:
-            raise ConfigError("grad_tol must be positive")
-        if self.normalized_phase_threshold <= 0:
-            raise ConfigError("normalized_phase_threshold must be positive")
-        if self.normalized_phase_step is not None and self.normalized_phase_step <= 0:
-            raise ConfigError("normalized_phase_step must be positive")
-        if not 0.0 < self.backtracking_alpha < 1.0:
-            raise ConfigError("backtracking_alpha must be in (0, 1)")
-        if not 0.0 < self.backtracking_beta < 1.0:
-            raise ConfigError("backtracking_beta must be in (0, 1)")
-        if self.initial_step <= 0:
-            raise ConfigError("initial_step must be positive")
 
 
 @dataclass
@@ -247,9 +233,6 @@ def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> Optimi
     if config is None:
         config = OptimizerConfig()
     n, m = initial.n, initial.m
-    grad_tol = config.grad_tol if config.grad_tol is not None else 1e-9 * m
-    threshold = config.normalized_phase_threshold * m
-    log_stride = max(1, config.max_iters // 2000)
 
     if config.algorithm == "projected":
         n_params = 2 * m * n
@@ -264,18 +247,13 @@ def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> Optimi
             n, lambda a: angles_to_states(*_split_angles(a, n)))
         grad_fn = lambda a: gradient_hyperspherical(a, n, factor_at(a))
         retract = spheres.no_retraction
-    phase1_step = (config.normalized_phase_step
-                   if config.normalized_phase_step is not None
-                   else 0.01 * math.sqrt(n_params))
 
     initial_xi = _cost_only(np.array(initial.states, dtype=complex), n)
     res = spheres.projected_descent(
         cost_fn, grad_fn, point0,
-        grad_tol=grad_tol, max_iters=config.max_iters,
-        alpha=config.backtracking_alpha, beta=config.backtracking_beta,
-        initial_step=config.initial_step,
-        phase1_threshold=threshold, phase1_step=phase1_step,
-        log_stride=log_stride, retract=retract)
+        grad_tol=1e-9 * m, max_iters=config.max_iters,
+        phase1_threshold=10.0 * m, phase1_step=0.01 * math.sqrt(n_params),
+        log_stride=max(1, config.max_iters // 2000), retract=retract)
 
     if config.algorithm == "projected":
         final_states = res.states
@@ -332,10 +310,11 @@ def _descend_start(args) -> OptimizerRun:
 
 def multi_start(n: int, starts: int = 8,
                 config: OptimizerConfig | None = None,
-                workers: int | None = None) -> MultiStartResult:
+                workers: int = 1) -> MultiStartResult:
     """Descend from `starts` random sets (seed + i for start i) and keep all
-    runs.  Starts run over up to `workers` processes; None reads
-    STOKES_OPT_THREADS (default serial).  Results do not depend on it.
+    runs.  Starts run over up to `workers` processes, in this one when
+    workers <= 1 or starts == 1.  Each start draws from its own seed, so
+    results do not depend on `workers`.
 
     Raises
     ------
@@ -347,7 +326,11 @@ def multi_start(n: int, starts: int = 8,
     if config is None:
         config = OptimizerConfig()
     jobs = [(n, config, i) for i in range(starts)]
-    runs = pool_map(_descend_start, jobs, resolve_workers(workers))
+    if workers <= 1 or starts == 1:
+        runs = [_descend_start(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, starts)) as pool:
+            runs = list(pool.map(_descend_start, jobs))
     best_index = None
     for i, run in enumerate(runs):
         if run.aborted:

@@ -3,7 +3,7 @@
 Every stochastic entry point takes an integer seed and derives independent
 substreams through a counter-based Philox generator keyed by SeedSequence.
 Each start of a multi-start search draws from its own stream, so it gets
-the same numbers however the starts are scheduled across workers.  A
+the same numbers whatever worker count `multi_start` is given.  A
 Monte-Carlo run draws all its trials from one stream, in trial order.
 """
 from __future__ import annotations

@@ -7,7 +7,9 @@ step retracts by renormalizing rows.
 
 The launch-set optimizer drives this module, supplying its own
 cost/gradient callables for either parameterization.  The line search is
-plain Armijo backtracking with a warm-started, regrowing trial step.
+plain Armijo backtracking with a warm-started, regrowing trial step; its
+sufficient-decrease fraction, backtracking factor and first trial step are
+the fixed module constants below.
 """
 from __future__ import annotations
 
@@ -27,6 +29,9 @@ __all__ = [
 ]
 
 _STEP_FLOOR = 1e-18
+_ARMIJO_FRACTION = 0.3   # sufficient-decrease fraction of the slope
+_BACKTRACK_FACTOR = 0.5  # trial-step shrink per rejected probe
+_FIRST_STEP = 1.0        # trial step of the first phase-2 line search
 
 
 def normalize_rows(states: np.ndarray) -> np.ndarray:
@@ -51,14 +56,13 @@ def armijo_step(cost_fn: Callable[[np.ndarray], float],
                 direction: np.ndarray,
                 slope: float,
                 t0: float,
-                alpha: float,
-                beta: float,
-                retract: Callable[[np.ndarray], np.ndarray] = normalize_rows,
+                retract: Callable[[np.ndarray], np.ndarray],
                 ) -> tuple[float, np.ndarray | None, float]:
     """Backtracking line search along `direction` with retraction.
 
-    Accepts the first t with f(retract(x + t d)) <= f0 + alpha * t * slope
-    (slope is the directional derivative, negative for a descent direction).
+    Accepts the first t = t0 * _BACKTRACK_FACTOR^k with
+    f(retract(x + t d)) <= f0 + _ARMIJO_FRACTION * t * slope (slope is the
+    directional derivative, negative for a descent direction).
 
     Returns
     -------
@@ -70,9 +74,9 @@ def armijo_step(cost_fn: Callable[[np.ndarray], float],
     while t > _STEP_FLOOR:
         trial = retract(states + t * direction)
         ft = cost_fn(trial)
-        if np.isfinite(ft) and ft <= f0 + alpha * t * slope:
+        if np.isfinite(ft) and ft <= f0 + _ARMIJO_FRACTION * t * slope:
             return t, trial, ft
-        t *= beta
+        t *= _BACKTRACK_FACTOR
     return t, None, f0
 
 
@@ -103,7 +107,6 @@ class DescentResult:
     phase1_iters: int
     log: DescentLog
     stop_reason: str
-    final_step: float
 
 
 def projected_descent(cost_fn: Callable[[np.ndarray], float],
@@ -112,43 +115,41 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
                       *,
                       grad_tol: float,
                       max_iters: int,
-                      alpha: float = 0.3,
-                      beta: float = 0.5,
-                      initial_step: float = 1.0,
-                      phase1_threshold: float | None = None,
-                      phase1_step: float | None = None,
-                      log_stride: int = 1,
-                      retract: Callable[[np.ndarray], np.ndarray] = normalize_rows,
+                      phase1_threshold: float,
+                      phase1_step: float,
+                      log_stride: int,
+                      retract: Callable[[np.ndarray], np.ndarray],
                       ) -> DescentResult:
     """Two-phase gradient descent with a pluggable retraction.
 
-    The default retraction renormalizes rows (descent on the product of unit
-    spheres); `no_retraction` turns the same loop into plain descent over an
+    `normalize_rows` as the retraction gives descent on the product of unit
+    spheres; `no_retraction` turns the same loop into plain descent over an
     unconstrained parameterization.
 
-    Phase 1 (optional): while cost > phase1_threshold, take fixed-size steps
+    Phase 1: while cost > phase1_threshold, take steps of length phase1_step
     along the normalized gradient.  Costs may transiently rise here; the
     phase exists to walk down the steep cliff of nearly singular
     configurations where backtracking would crawl.  The switch to phase 2 is
     one-way.
 
     Phase 2: Armijo backtracking along the negative gradient with a warm
-    trial step (last accepted step divided by beta).  Accepted costs are
-    strictly decreasing; a stalled line search terminates the run.
+    trial step (_FIRST_STEP, then the last accepted step divided by
+    _BACKTRACK_FACTOR).  Accepted costs are strictly decreasing; a stalled
+    line search terminates the run.
 
     grad_fn must return (cost, gradient) with the gradient already in the
     parameterization's own coordinates (tangent-projected for the sphere
     case); cost_fn alone is used for the cheaper line-search probes.
     """
     states = retract(np.array(states0))
-    log = DescentLog(stride=max(1, int(log_stride)))
+    log = DescentLog(stride=log_stride)
     f, g = grad_fn(states)
     gnorm = float(np.linalg.norm(g))
     log.record(0, f, gnorm, force=True)
 
-    in_phase1 = phase1_threshold is not None and f > phase1_threshold
+    in_phase1 = f > phase1_threshold
     phase1_iters = 0
-    t_warm = initial_step
+    t_warm = _FIRST_STEP
     it = 0
     stop_reason = "max_iters"
     converged = False
@@ -161,8 +162,7 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
             break
         it += 1
         if in_phase1:
-            step = phase1_step if phase1_step is not None else 0.01
-            states = retract(states - (step / max(gnorm, 1e-300)) * g)
+            states = retract(states - (phase1_step / max(gnorm, 1e-300)) * g)
             try:
                 f, g = grad_fn(states)
             except ArithmeticError:
@@ -175,12 +175,12 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
                 in_phase1 = False
         else:
             t, trial, ft = armijo_step(cost_fn, states, f, -g, -gnorm * gnorm,
-                                       t_warm, alpha, beta, retract=retract)
+                                       t_warm, retract)
             if trial is None:
                 stop_reason = "line_search_stall"
                 break
             states, f = trial, ft
-            t_warm = min(t / beta, 1e6)
+            t_warm = min(t / _BACKTRACK_FACTOR, 1e6)
             try:
                 _, g = grad_fn(states)
             except ArithmeticError:
@@ -194,4 +194,4 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
     return DescentResult(states=states, cost=f, grad_norm=gnorm, iterations=it,
                          converged=converged, aborted=aborted,
                          phase1_iters=phase1_iters, log=log,
-                         stop_reason=stop_reason, final_step=t_warm)
+                         stop_reason=stop_reason)

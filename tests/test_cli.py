@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +351,33 @@ def test_simulate_joint_reports_operator_agreement(capsys):
     assert len(doc["dmgds_direct"]) == 3
     assert doc["tau0_rel_error"] < 1e-10
 
+    # a fiber without common-mode delay, and one without any delay at all
+    for name, extra in [("tau0", {"tau0": 0.0}),
+                        ("still", {"tau0": 0.0, "md_vector": [0.0] * 8})]:
+        write_scenario(f"{name}.json", mode="joint", seed=0, domega=1e6,
+                       launch_set="set3.json", fiber=dict(fiber, **extra),
+                       receiver=CLEAN_RECEIVER)
+        assert run_cli("simulate", "--scenario", f"{name}.json",
+                       "--out", f"{name}_r.json") == 0
+        doc = read_json(f"{name}_r.json")
+        assert all(math.isfinite(doc[key]) for key in (
+            "tau0_rel_error", "md_max_rel_error", "dmgd_max_rel_deviation"))
+
+
+def test_simulate_joint_noisy_receiver_reruns_byte_identical(capsys):
+    assert run_cli("gen-set", "--family", "mub", "--n", "2",
+                   "--out", "mub2.json") == 0
+    write_scenario("joint.json", mode="joint", seed=5, domega=1e6,
+                   launch_set="mub2.json", fiber=LOSSY_FIBER,
+                   receiver=NOISY_RECEIVER)
+    argv = ("simulate", "--scenario", "joint.json", "--out", "jr.json")
+    assert run_cli(*argv) == 0
+    shutil.copy("jr.json", "keep.json")
+    assert run_cli(*argv) == 0
+    assert filecmp.cmp("jr.json", "keep.json", shallow=False)
+    doc = read_json("jr.json")
+    assert 0.0 < doc["tau0_rel_error"] < 1.0
+
 
 def test_simulate_mdl_noiseless_is_exact(capsys):
     assert run_cli("gen-set", "--family", "random", "--n", "2",
@@ -538,6 +566,13 @@ def test_cli_workers_default_to_every_core(monkeypatch):
     assert cli._cli_workers() == (os.cpu_count() or 1)
     monkeypatch.setenv("STOKES_OPT_THREADS", "3")
     assert cli._cli_workers() == 3
+
+
+def test_only_the_cli_reads_the_environment():
+    package = Path(cli.__file__).parent
+    readers = sorted(path.name for path in package.glob("*.py")
+                     if "os.environ" in path.read_text())
+    assert readers == ["cli.py"]
 
 
 def test_malformed_worker_env_exits_2(capsys, monkeypatch):
