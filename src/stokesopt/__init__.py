@@ -2,7 +2,8 @@
 
 Library layout:
 
-    gellmann   Gell-Mann basis, Jones/Stokes maps, hyperspherical chart
+    gellmann   Gell-Mann basis, Jones/Stokes maps, and the angle chart on
+               stacked (m, 2(n-1)) angle arrays
     sets       launch-set families (Yang-Nolan, MUB, SIC, random, simplex)
     metrics    Gram matrix, noise-amplification cost, set diagnostics
     spheres    two-phase descent loop on products of spheres
@@ -26,12 +27,9 @@ from .errors import (
 from .gellmann import (
     GellMannBasis,
     HermitianExpansion,
-    HypersphericalPoint,
     assemble,
     expand_matrix,
     gell_mann_basis,
-    hyperspherical_to_jones,
-    jones_to_hyperspherical,
     jones_to_stokes,
     norm_coeff,
     projection_operator,

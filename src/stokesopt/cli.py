@@ -158,6 +158,7 @@ def _print_summary(info: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _build_family(family: str, n: int, seed: int, tol: float) -> LaunchSet:
+    """The named launch set of gen-set, optimize --init and sweep."""
     if family == "yang":
         return yang_nolan(n)
     if family == "mub":
@@ -202,16 +203,12 @@ def cmd_gen_set(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _initial_for(init: str, n: int, seed: int, tol: float) -> LaunchSet:
-    if init == "sic":
-        return sic_search(n, seed=seed, tol=tol)
-    if init == "mub":
-        return mub_set(n)
-    if init == "yang":
-        return yang_nolan(n)
     if init.startswith("file:"):
         return _load_set_checked(init[len("file:"):])
-    raise ConfigError(
-        f"unknown init {init!r}; use random, sic, mub, yang or file:PATH")
+    if init not in ("sic", "mub", "yang"):
+        raise ConfigError(
+            f"unknown init {init!r}; use random, sic, mub, yang or file:PATH")
+    return _build_family(init, n, seed, tol)
 
 
 def _starts_rows(runs) -> list:
@@ -329,20 +326,11 @@ def _parse_n_list(text: str) -> list:
 
 
 def _sweep_metrics(family: str, n: int, seed: int, tol: float):
-    if family == "yang":
-        return metrics(yang_nolan(n))
-    if family == "mub":
-        return metrics(mub_set(n))
-    if family == "random":
-        return metrics(random_set(n, seed=seed))
-    if family == "sic":
-        return metrics(sic_search(n, seed=seed, tol=tol))
     if family == "sic-analytic":
         return metrics_from_gram(sic_gram(n))
     if family == "mub-analytic":
         return metrics_from_gram(mub_gram(n))
-    raise ConfigError(
-        f"unknown sweep family {family!r}, pick from {SWEEP_FAMILIES}")
+    return metrics(_build_family(family, n, seed, tol))
 
 
 def cmd_sweep(args) -> int:

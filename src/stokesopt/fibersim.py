@@ -385,11 +385,15 @@ def synth_mdl_fiber(n: int, pa_coeffs, z: float, seed: int = 0,
                       pa_slope=pa_slope, z=float(z))
 
 
+def _expansion(n: int, scalar: float, vector) -> np.ndarray:
+    """The matrix scalar * I + vector . L / (2 c_n) of real coefficients."""
+    return assemble(HermitianExpansion(
+        n=n, scalar=complex(scalar), vector=vector.astype(complex)))
+
+
 def delay_operator(f: FiberModel) -> np.ndarray:
     """Hermitian generator tau0*I + md_vector . L / (2 c_n)."""
-    return assemble(HermitianExpansion(
-        n=f.n, scalar=complex(f.tau0),
-        vector=f.md_vector.astype(complex)))
+    return _expansion(f.n, f.tau0, f.md_vector)
 
 
 def propagate_unitary(f: FiberModel, domega: float) -> np.ndarray:
@@ -557,6 +561,21 @@ def _record_values(records) -> np.ndarray:
     return np.asarray(vals, dtype=float)
 
 
+def _solve_stokes(launch_set: LaunchSet, dev) -> np.ndarray:
+    """Solve S x = 2 c_n^2 dev, one column of dev per right-hand side.
+
+    Raises
+    ------
+    SingularSetError
+        When the set's Stokes coefficient matrix S is singular.
+    """
+    c = norm_coeff(launch_set.n)
+    try:
+        return np.linalg.solve(launch_set.stokes_matrix(), 2.0 * c * c * dev)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSetError("stokes coefficient matrix is singular") from exc
+
+
 def reconstruct_md(launch_set: LaunchSet, records, tau0: float) -> np.ndarray:
     """Delay vector from one delay record per launch, via a linear solve.
 
@@ -567,12 +586,7 @@ def reconstruct_md(launch_set: LaunchSet, records, tau0: float) -> np.ndarray:
     if values.shape != (launch_set.m,):
         raise DimensionError(
             f"need {launch_set.m} records, got {values.shape[0]}")
-    c = norm_coeff(launch_set.n)
-    rhs = 2.0 * c * c * (values - tau0)
-    try:
-        return np.linalg.solve(launch_set.stokes_matrix(), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSetError("stokes coefficient matrix is singular") from exc
+    return _solve_stokes(launch_set, values - tau0)
 
 
 def scaled_delay_variance(rx: ReceiverModel, n: int) -> float:
@@ -615,13 +629,7 @@ def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
         last = min(first + block, trials)
         reads[first:last] = _noisy_reads(delays, gain, sigma, rng,
                                          last - first)
-    c = norm_coeff(f.n)
-    try:
-        solved = np.linalg.solve(launch_set.stokes_matrix(),
-                                 2.0 * c * c * (reads - f.tau0).T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSetError("stokes coefficient matrix is singular") from exc
-    errors = solved.T - f.md_vector
+    errors = _solve_stokes(launch_set, (reads - f.tau0).T).T - f.md_vector
     # a non-finite delay makes its trial's error row non-finite, so one
     # check applies the finiteness rule of MeasurementRecord
     if not np.all(np.isfinite(errors)):
@@ -700,14 +708,8 @@ def reconstruct_mdl(launch_set: LaunchSet, simplex: SimplexSet,
     if alpha0 <= 0:
         raise EstimationFailedError(
             f"mean attenuation must be positive, got {alpha0}")
-    c = norm_coeff(launch_set.n)
-    rhs = 2.0 * c * c * (set_values / alpha0 - 1.0)
-    try:
-        gamma = np.linalg.solve(launch_set.stokes_matrix(), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSetError("stokes coefficient matrix is singular") from exc
-    p2 = alpha0 * assemble(HermitianExpansion(
-        n=launch_set.n, scalar=1.0 + 0.0j, vector=gamma.astype(complex)))
+    gamma = _solve_stokes(launch_set, set_values / alpha0 - 1.0)
+    p2 = alpha0 * _expansion(launch_set.n, 1.0, gamma)
     evals = np.linalg.eigvalsh(p2)
     if evals[0] <= 0:
         raise EstimationFailedError(
@@ -718,8 +720,7 @@ def reconstruct_mdl(launch_set: LaunchSet, simplex: SimplexSet,
 
 def loss_matrix_from_estimate(est: MdlEstimate) -> np.ndarray:
     """Principal square root P of the estimate's P^2."""
-    p2 = est.alpha0 * assemble(HermitianExpansion(
-        n=est.n, scalar=1.0 + 0.0j, vector=est.gamma.astype(complex)))
+    p2 = est.alpha0 * _expansion(est.n, 1.0, est.gamma)
     evals, vecs = np.linalg.eigh(p2)
     if evals[0] <= 0:
         raise EstimationFailedError(
@@ -757,9 +758,7 @@ def compose_gd_operator(n: int, tau0: float, md_vector, loss=None,
     numerically singular the routine falls back to a Schur form and flags
     the result as defective.
     """
-    md = np.asarray(md_vector, dtype=float)
-    gen = assemble(HermitianExpansion(n=n, scalar=complex(tau0),
-                                      vector=md.astype(complex)))
+    gen = _expansion(n, tau0, np.asarray(md_vector, dtype=float))
     if loss is None:
         composed = gen
     else:

@@ -20,8 +20,19 @@ exactly (sigma_1, sigma_2, sigma_3), so the classical Stokes triple appears in
 the familiar order.
 
 The module also provides the hyperspherical chart used by the unconstrained
-optimizer: amplitudes from a chain of polar angles, phases on every component
-after the first, 2N-2 real parameters per state.
+optimizer, on stacks of m states at once.  Row q of an (m, 2(N-1)) angle
+array holds the polar angles phi_0 .. phi_{N-2} of state q, then its phases
+theta_0 .. theta_{N-2}:
+
+    s_0     = cos(phi_0)
+    s_v     = sin(phi_0) ... sin(phi_{v-1}) cos(phi_v) e^{i theta_{v-1}}
+    s_{N-1} = sin(phi_0) ... sin(phi_{N-2})            e^{i theta_{N-2}}
+
+(v runs over 1 .. N-2 in the middle line).  It covers the unit states whose
+first component is real, a per-state global phase gauge that costs nothing
+for phase-invariant costs.  Only `_chart` splits the angle array;
+angles_to_states, angles_to_states_jacobian and states_to_angles are the
+whole chart API.
 """
 from __future__ import annotations
 
@@ -43,12 +54,9 @@ __all__ = [
     "HermitianExpansion",
     "expand_matrix",
     "assemble",
-    "HypersphericalPoint",
-    "hyperspherical_to_jones",
-    "d_jones_d_angle",
-    "jones_to_hyperspherical",
     "angles_to_states",
     "angles_to_states_jacobian",
+    "states_to_angles",
 ]
 
 
@@ -251,110 +259,25 @@ def assemble(e: HermitianExpansion, basis: GellMannBasis | None = None) -> np.nd
 # Hyperspherical chart
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypersphericalPoint:
-    """Angles of one state: n-1 polar angles and n-1 phases.
-
-    The chart is
-
-        s_0     = cos(phi_0)
-        s_v     = sin(phi_0) ... sin(phi_{v-1}) cos(phi_v) e^{i theta_{v-1}}
-        s_{n-1} = sin(phi_0) ... sin(phi_{n-2})            e^{i theta_{n-2}}
-
-    (0-based arrays; v runs over 1 .. n-2 in the middle line).  It covers the
-    unit states whose first component is real, which is a per-state global
-    phase gauge and costs nothing for phase-invariant costs.
-    """
-
-    phis: np.ndarray
-    thetas: np.ndarray
-
-    def __post_init__(self):
-        phis = np.atleast_1d(np.asarray(self.phis, dtype=float))
-        thetas = np.atleast_1d(np.asarray(self.thetas, dtype=float))
-        if phis.shape != thetas.shape or phis.ndim != 1 or phis.size < 1:
-            raise DimensionError(
-                f"need matching 1-d angle arrays, got {phis.shape} and {thetas.shape}")
-        object.__setattr__(self, "phis", phis)
-        object.__setattr__(self, "thetas", thetas)
-
-    @property
-    def n(self) -> int:
-        return self.phis.size + 1
-
-
-def hyperspherical_to_jones(p: HypersphericalPoint) -> np.ndarray:
-    """Evaluate the chart at one angle tuple; always unit norm."""
-    return angles_to_states(p.phis[None, :], p.thetas[None, :])[0]
-
-
-def d_jones_d_angle(p: HypersphericalPoint, kind: str, index: int) -> np.ndarray:
-    """Analytic partial of the chart w.r.t. one angle.
-
-    Parameters
-    ----------
-    kind : {"phi", "theta"}
-    index : int
-        0-based angle index in 0 .. n-2.
-
-    Notes
-    -----
-    Pole-safe: derivatives are assembled as fresh products, never by dividing
-    out a sine, so chart poles (sin phi = 0) give exact zero components where
-    the angle has become redundant.
-    """
-    n = p.n
-    if index < 0 or index >= n - 1:
-        raise DimensionError(f"angle index {index} out of range for n={n}")
-    jac = angles_to_states_jacobian(p.phis[None, :], p.thetas[None, :])[0]
-    if kind == "phi":
-        return jac[index].copy()
-    if kind == "theta":
-        return jac[n - 1 + index].copy()
-    raise DimensionError(f"unknown angle kind {kind!r}")
-
-
-def jones_to_hyperspherical(s) -> HypersphericalPoint:
-    """Invert the chart after gauging the first component real non-negative.
-
-    Any unit state is reachable: the state is first multiplied by a global
-    phase so s_0 >= 0 (a no-op when s_0 = 0), then polar angles are peeled
-    off the magnitude chain and phases come from the argument of each
-    remaining component.
-    """
-    s = _as_state(s)
-    n = s.shape[0]
-    nrm = np.linalg.norm(s)
-    if not np.isclose(nrm, 1.0, atol=1e-8):
-        raise DimensionError(f"expected a unit state, got norm {nrm:.3e}")
-    s = s / nrm
-    if abs(s[0]) > 0:
-        s = s * (s[0].conjugate() / abs(s[0]))
-    phis = np.zeros(n - 1)
-    thetas = np.zeros(n - 1)
-    # tail[v] = ||s[v:]||, descending cumulative magnitudes
-    mags = np.abs(s)
-    tail = np.sqrt(np.cumsum(mags[::-1] ** 2)[::-1])
-    for v in range(n - 1):
-        head = s[0].real if v == 0 else mags[v]
-        phis[v] = np.arctan2(tail[v + 1], head)
-    thetas[:] = np.angle(s[1:])
-    return HypersphericalPoint(phis=phis, thetas=thetas)
-
-
-def _chart(phis, thetas):
+def _chart(angles):
     """Chart evaluation that keeps its factors for the Jacobian.
 
     Returns (sin, cos, prefix, phase, amps, states), with prefix[:, v] the
     product of sin(phi_u) over u < v, phase = e^{i theta}, and states the
     amplitudes with phase[:, v-1] on component v >= 1.
+
+    Raises
+    ------
+    DimensionError
+        Unless `angles` is 2-d with an even, nonzero width 2(n-1).
     """
-    phis = np.asarray(phis, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
-    if phis.ndim != 2 or phis.shape != thetas.shape:
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 2 or angles.shape[1] == 0 or angles.shape[1] % 2:
         raise DimensionError(
-            f"need matching (m, n-1) angle arrays, got {phis.shape} and {thetas.shape}")
-    m, nm1 = phis.shape
+            f"need an (m, 2(n-1)) angle array, got shape {angles.shape}")
+    m, width = angles.shape
+    nm1 = width // 2
+    phis, thetas = angles[:, :nm1], angles[:, nm1:]
     sin = np.sin(phis)
     cos = np.cos(phis)
     prefix = np.ones((m, nm1 + 1))
@@ -367,23 +290,27 @@ def _chart(phis, thetas):
     return sin, cos, prefix, phase, amps, states
 
 
-def angles_to_states(phis, thetas) -> np.ndarray:
-    """Batch chart evaluation: (m, n-1) angle arrays -> (m, n) unit states."""
-    return _chart(phis, thetas)[-1]
+def angles_to_states(angles) -> np.ndarray:
+    """Chart evaluation: (m, 2(n-1)) angles -> (m, n) unit states."""
+    return _chart(angles)[-1]
 
 
-def angles_to_states_jacobian(phis, thetas) -> np.ndarray:
-    """Batch analytic Jacobian of the chart.
+def angles_to_states_jacobian(angles) -> tuple[np.ndarray, np.ndarray]:
+    """States and analytic Jacobian of the chart from one chart evaluation.
 
     Returns
     -------
-    ndarray, shape (m, 2(n-1), n), complex
-        jac[q, a, :]    = d s_q / d phi_a      for a in 0 .. n-2
+    states : ndarray, shape (m, n), complex
+        Bit for bit angles_to_states(angles).
+    jac : ndarray, shape (m, 2(n-1), n), complex
+        jac[q, a, :]     = d s_q / d phi_a      for a in 0 .. n-2
         jac[q, n-1+a, :] = d s_q / d theta_a.
 
-    Pole-safe: every entry is a fresh product, never a quotient by a sine.
+    Pole-safe: every entry is a fresh product, never a quotient by a sine,
+    so chart poles (sin phi = 0) give exact zeros where an angle has become
+    redundant.
     """
-    sin, cos, prefix, phase, amps, states = _chart(phis, thetas)
+    sin, cos, prefix, phase, amps, states = _chart(angles)
     m, nm1 = sin.shape
     u = np.arange(nm1)
     jac = np.zeros((m, 2 * nm1, nm1 + 1), dtype=complex)
@@ -400,4 +327,40 @@ def angles_to_states_jacobian(phis, thetas) -> np.ndarray:
     phase_a[:, 1:] = phase[:, :-1]
     jac[:, u, u] = -prefix[:, :nm1] * sin * phase_a
     jac[:, nm1 + u, u + 1] = 1j * states[:, 1:]
-    return jac
+    return states, jac
+
+
+def states_to_angles(states) -> np.ndarray:
+    """Invert the chart: (m, n) unit states -> (m, 2(n-1)) angles.
+
+    Any unit state is reachable: each state is first multiplied by a global
+    phase so s_0 >= 0 (a no-op when s_0 = 0), then polar angles are peeled
+    off the magnitude chain and phases come from the argument of each
+    remaining component.  States are gauged one row at a time.
+
+    Raises
+    ------
+    DimensionError
+        For anything but an (m, n >= 2) stack of unit-norm states.
+    """
+    st = np.asarray(states, dtype=complex)
+    if st.ndim != 2 or st.shape[1] < 2:
+        raise DimensionError(
+            f"expected an (m, n) state stack with n >= 2, got shape {st.shape}")
+    nm1 = st.shape[1] - 1
+    angles = np.zeros((st.shape[0], 2 * nm1))
+    for row, s in zip(angles, st):
+        nrm = np.linalg.norm(s)
+        if not np.isclose(nrm, 1.0, atol=1e-8):
+            raise DimensionError(f"expected a unit state, got norm {nrm:.3e}")
+        s = s / nrm
+        if abs(s[0]) > 0:
+            s = s * (s[0].conjugate() / abs(s[0]))
+        # tail[v] = ||s[v:]||, descending cumulative magnitudes
+        mags = np.abs(s)
+        tail = np.sqrt(np.cumsum(mags[::-1] ** 2)[::-1])
+        for v in range(nm1):
+            head = s[0].real if v == 0 else mags[v]
+            row[v] = np.arctan2(tail[v + 1], head)
+        row[nm1:] = np.angle(s[1:])
+    return angles

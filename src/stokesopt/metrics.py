@@ -103,10 +103,7 @@ def cost(s: LaunchSet) -> float:
     SingularSetError
         When cond2(G) exceeds COND_LIMIT (kappa(S) > 1e7).
     """
-    g = gram(s)
-    lam = np.linalg.eigvalsh(g)
-    _check_conditioning(lam)
-    return _xi_cholesky(g)
+    return metrics(s).xi
 
 
 def penalty_db(penalty: float) -> float:

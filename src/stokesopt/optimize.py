@@ -34,7 +34,7 @@ from .errors import ConfigError, SearchFailedError, SingularSetError
 from .gellmann import (
     angles_to_states,
     angles_to_states_jacobian,
-    jones_to_hyperspherical,
+    states_to_angles,
 )
 from .metrics import _cholesky_lower
 from .sets import LaunchSet, canonicalize_phases, random_set
@@ -199,33 +199,20 @@ def gradient_jones(states: np.ndarray, n: int,
     return xi, spheres.tangent_project(states, grad)
 
 
-def _split_angles(angles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return angles[:, : n - 1], angles[:, n - 1:]
-
-
 def gradient_hyperspherical(angles: np.ndarray, n: int,
                             factor: tuple | None = None) -> tuple[float, np.ndarray]:
     """Cost and gradient in the stacked angle chart.
 
-    `angles` has shape (m, 2(n-1)): polar angles first, then phases.  The
-    chain rule contracts the full state-space gradient with the analytic
-    chart Jacobian; radial components vanish in the contraction because the
+    `angles` is a stacked (m, 2(n-1)) angle array in the layout of
+    `gellmann`; one chart evaluation gives the states and the analytic
+    Jacobian.  The chain rule contracts the full state-space gradient with
+    that Jacobian; radial components vanish in the contraction because the
     chart moves states only tangentially.  `factor` is passed on to
     cost_and_gradient.
     """
-    phis, thetas = _split_angles(angles, n)
-    states = angles_to_states(phis, thetas)
+    states, jac = angles_to_states_jacobian(angles)
     xi, grad = cost_and_gradient(states, n, factor)
-    jac = angles_to_states_jacobian(phis, thetas)
     return xi, np.einsum("qc,qpc->qp", grad.conj(), jac).real
-
-
-def _states_to_angles(states: np.ndarray) -> np.ndarray:
-    rows = []
-    for s in states:
-        p = jones_to_hyperspherical(s)
-        rows.append(np.concatenate([p.phis, p.thetas]))
-    return np.array(rows)
 
 
 def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> OptimizerRun:
@@ -242,9 +229,8 @@ def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> Optimi
         retract = spheres.normalize_rows
     else:
         n_params = 2 * m * (n - 1)
-        point0 = _states_to_angles(initial.states)
-        cost_fn, factor_at = _memoized_probe(
-            n, lambda a: angles_to_states(*_split_angles(a, n)))
+        point0 = states_to_angles(initial.states)
+        cost_fn, factor_at = _memoized_probe(n, angles_to_states)
         grad_fn = lambda a: gradient_hyperspherical(a, n, factor_at(a))
         retract = spheres.no_retraction
 
@@ -258,7 +244,7 @@ def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> Optimi
     if config.algorithm == "projected":
         final_states = res.states
     else:
-        final_states = angles_to_states(*_split_angles(res.states, n))
+        final_states = angles_to_states(res.states)
     final_states = canonicalize_phases(final_states)
     meta = {
         "algorithm": config.algorithm,
@@ -371,16 +357,15 @@ def gradient_check(n: int, algorithm: str = "projected", trials: int = 3,
                       - _cost_only(states - bump, n)) / (2 * h)
                 fd[idx] = re + 1j * im
         else:
-            angles = _states_to_angles(states)
+            angles = states_to_angles(states)
             _, an = gradient_hyperspherical(angles, n)
             fd = np.empty_like(an)
             for idx in np.ndindex(angles.shape):
                 bump = np.zeros_like(angles)
                 bump[idx] = h
-                fd[idx] = (
-                    _cost_only(angles_to_states(*_split_angles(angles + bump, n)), n)
-                    - _cost_only(angles_to_states(*_split_angles(angles - bump, n)), n)
-                ) / (2 * h)
+                fd[idx] = (_cost_only(angles_to_states(angles + bump), n)
+                           - _cost_only(angles_to_states(angles - bump), n)
+                           ) / (2 * h)
         err = float(np.linalg.norm(fd - an) / max(np.linalg.norm(an), 1e-300))
         worst = max(worst, err)
     return worst

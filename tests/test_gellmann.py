@@ -12,19 +12,16 @@ import pytest
 from stokesopt.errors import DimensionError
 from stokesopt.gellmann import (
     HermitianExpansion,
-    HypersphericalPoint,
     angles_to_states,
     angles_to_states_jacobian,
     assemble,
-    d_jones_d_angle,
     expand_matrix,
     gell_mann_basis,
-    hyperspherical_to_jones,
-    jones_to_hyperspherical,
     jones_to_stokes,
     jones_to_stokes_batch,
     norm_coeff,
     projection_operator,
+    states_to_angles,
     stokes_dot_from_jones,
 )
 
@@ -198,14 +195,15 @@ def test_dimension_errors():
 # ---------------------------------------------------------------------------
 
 def random_angles(rng, count, n):
+    """(count, 2(n-1)) chart angles: polar angles off the poles, then phases."""
     phis = rng.uniform(0.05, np.pi / 2 - 0.05, (count, n - 1))
     thetas = rng.uniform(-np.pi, np.pi, (count, n - 1))
-    return phis, thetas
+    return np.hstack([phis, thetas])
 
 
 def test_chart_n2_explicit_form():
     phi, theta = 0.7, -1.3
-    s = hyperspherical_to_jones(HypersphericalPoint(phis=[phi], thetas=[theta]))
+    s = angles_to_states(np.array([[phi, theta]]))[0]
     expect = np.array([np.cos(phi), np.sin(phi) * np.exp(1j * theta)])
     assert np.max(np.abs(s - expect)) < 1e-15
 
@@ -215,7 +213,7 @@ def test_chart_unit_norm(n):
     rng = np.random.default_rng(500 + n)
     phis = rng.uniform(0, np.pi, (40, n - 1))
     thetas = rng.uniform(-np.pi, np.pi, (40, n - 1))
-    states = angles_to_states(phis, thetas)
+    states = angles_to_states(np.hstack([phis, thetas]))
     assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) < 1e-12
 
 
@@ -225,77 +223,78 @@ def test_chart_derivative_matches_finite_differences(n):
     # an order below the 1e-9 tolerance while truncation stays ~1e-13
     rng = np.random.default_rng(600 + n)
     h = 1e-6
-    phis, thetas = random_angles(rng, 5, n)
-    for phi_row, theta_row in zip(phis, thetas):
-        p = HypersphericalPoint(phis=phi_row, thetas=theta_row)
-        for a in range(n - 1):
-            for kind in ("phi", "theta"):
-                dp = np.zeros(n - 1)
-                dp[a] = h
-                if kind == "phi":
-                    plus = HypersphericalPoint(phi_row + dp, theta_row)
-                    minus = HypersphericalPoint(phi_row - dp, theta_row)
-                else:
-                    plus = HypersphericalPoint(phi_row, theta_row + dp)
-                    minus = HypersphericalPoint(phi_row, theta_row - dp)
-                fd = (hyperspherical_to_jones(plus)
-                      - hyperspherical_to_jones(minus)) / (2 * h)
-                an = d_jones_d_angle(p, kind, a)
-                assert np.max(np.abs(an - fd)) < 1e-9
+    angles = random_angles(rng, 5, n)
+    _, jac = angles_to_states_jacobian(angles)
+    for p in range(2 * (n - 1)):
+        bump = np.zeros_like(angles)
+        bump[:, p] = h
+        fd = (angles_to_states(angles + bump)
+              - angles_to_states(angles - bump)) / (2 * h)
+        assert np.max(np.abs(jac[:, p] - fd)) < 1e-9
 
 
 def test_chart_pole_gives_zero_derivative_no_nan():
     # sin(phi_0) = 0 collapses every later component; the dependent angle
     # derivatives must vanish identically
     n = 4
-    p = HypersphericalPoint(phis=np.array([0.0, 0.4, 1.1]),
-                            thetas=np.array([0.3, -0.2, 0.9]))
-    for a in range(n - 1):
-        for kind in ("phi", "theta"):
-            d = d_jones_d_angle(p, kind, a)
-            assert np.all(np.isfinite(d))
-    assert np.max(np.abs(d_jones_d_angle(p, "theta", 0))) == 0.0
-    assert np.max(np.abs(d_jones_d_angle(p, "phi", 1))) == 0.0
+    angles = np.array([[0.0, 0.4, 1.1, 0.3, -0.2, 0.9]])
+    _, jac = angles_to_states_jacobian(angles)
+    assert np.all(np.isfinite(jac))
+    assert np.max(np.abs(jac[0, n - 1])) == 0.0      # d / d theta_0
+    assert np.max(np.abs(jac[0, 1])) == 0.0          # d / d phi_1
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 def test_chart_inverse_round_trip(n):
     rng = np.random.default_rng(700 + n)
     # chart points reproduce exactly
-    phis, thetas = random_angles(rng, 10, n)
-    for phi_row, theta_row in zip(phis, thetas):
-        s = hyperspherical_to_jones(HypersphericalPoint(phi_row, theta_row))
-        p = jones_to_hyperspherical(s)
-        s2 = hyperspherical_to_jones(p)
-        assert np.max(np.abs(s - s2)) < 1e-12
+    s = angles_to_states(random_angles(rng, 10, n))
+    s2 = angles_to_states(states_to_angles(s))
+    assert np.max(np.abs(s - s2)) < 1e-12
     # arbitrary unit states reproduce up to the global phase gauge
-    for s in random_unit_states(rng, 10, n):
-        s2 = hyperspherical_to_jones(jones_to_hyperspherical(s))
-        ov = np.vdot(s2, s)
-        assert abs(abs(ov) - 1.0) < 1e-10
-        assert np.max(np.abs(s * (ov.conjugate() / abs(ov)) - s2)) < 1e-10
+    s = random_unit_states(rng, 10, n)
+    s2 = angles_to_states(states_to_angles(s))
+    ov = np.einsum("qc,qc->q", s2.conj(), s)
+    assert np.max(np.abs(np.abs(ov) - 1.0)) < 1e-10
+    assert np.max(np.abs(s * (ov.conj() / np.abs(ov))[:, None] - s2)) < 1e-10
 
 
-def test_jacobian_batch_consistent_with_single():
-    rng = np.random.default_rng(44)
-    n = 5
-    phis, thetas = random_angles(rng, 6, n)
-    jac = angles_to_states_jacobian(phis, thetas)
-    for q in range(6):
-        p = HypersphericalPoint(phis[q], thetas[q])
-        for a in range(n - 1):
-            assert np.max(np.abs(jac[q, a] - d_jones_d_angle(p, "phi", a))) < 1e-15
-            assert np.max(np.abs(jac[q, n - 1 + a]
-                                 - d_jones_d_angle(p, "theta", a))) < 1e-15
+def test_states_to_angles_rejects_bad_input():
+    with pytest.raises(DimensionError):
+        states_to_angles(np.array([[1.0, 1.0]]))         # not unit norm
+    with pytest.raises(DimensionError):
+        states_to_angles(np.array([1.0, 0.0]))           # not a stack
+    with pytest.raises(DimensionError):
+        states_to_angles(np.ones((3, 1)))                # one mode
 
 
-def _two_loop_jacobian(phis, thetas):
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 4), (3, 0), (3, 3), (3, 5)])
+def test_malformed_angle_arrays_raise(shape):
+    angles = np.zeros(shape)
+    with pytest.raises(DimensionError):
+        angles_to_states(angles)
+    with pytest.raises(DimensionError):
+        angles_to_states_jacobian(angles)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_jacobian_states_are_the_chart_states_bitwise(n):
+    # the descent reuses a probe's factor for the gradient at the same
+    # angles, so both routes must give the very same states
+    angles = np.random.default_rng(800 + n).uniform(-np.pi, 2 * np.pi,
+                                                     (12, 2 * (n - 1)))
+    assert np.array_equal(angles_to_states_jacobian(angles)[0],
+                          angles_to_states(angles))
+
+
+def _two_loop_jacobian(angles):
     """The chart Jacobian as first written, marching the sine gaps with two
     Python loops; the reference the vectorized one must match bit for bit."""
-    states = angles_to_states(phis, thetas)
-    phis = np.asarray(phis, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
-    m, nm1 = phis.shape
+    states = angles_to_states(angles)
+    angles = np.asarray(angles, dtype=float)
+    nm1 = angles.shape[1] // 2
+    phis, thetas = angles[:, :nm1], angles[:, nm1:]
+    m = phis.shape[0]
     n = nm1 + 1
     sin = np.sin(phis)
     cos = np.cos(phis)
@@ -331,8 +330,9 @@ def test_jacobian_matches_two_loop_reference_bitwise(n):
     poles = rng.choice([0.0, np.pi / 2, np.pi], size=shape)
     mixed = np.where(rng.random(shape) < 0.5, poles, generic)
     for phis in (generic, poles, mixed):
-        new = angles_to_states_jacobian(phis, thetas)
-        ref = _two_loop_jacobian(phis, thetas)
+        angles = np.hstack([phis, thetas])
+        _, new = angles_to_states_jacobian(angles)
+        ref = _two_loop_jacobian(angles)
         assert np.array_equal(new, ref)
         assert new.tobytes() == ref.tobytes()
 
@@ -347,7 +347,7 @@ def test_jacobian_pole_zeros_are_exact(n):
     for a in range(nm1):
         phis = rng.uniform(0.1, np.pi - 0.1, (5, nm1))
         phis[:, a] = 0.0
-        jac = angles_to_states_jacobian(phis, thetas)
+        _, jac = angles_to_states_jacobian(np.hstack([phis, thetas]))
         assert np.all(np.isfinite(jac))
         assert np.all(jac[:, a + 1: nm1] == 0.0)
         assert np.all(jac[:, nm1 + a:] == 0.0)

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from stokesopt import optimize, spheres
+from stokesopt import gellmann, optimize, spheres
 from stokesopt.errors import ConfigError, SingularSetError
-from stokesopt.gellmann import angles_to_states
+from stokesopt.gellmann import angles_to_states, states_to_angles
 from stokesopt.optimize import (
     OptimizerConfig,
     OptimizerRun,
@@ -25,7 +25,6 @@ from stokesopt.optimize import (
     _extension_gram,
     _inverse_gram,
     _memoized_probe,
-    _states_to_angles,
 )
 from stokesopt.sets import (
     LaunchSet,
@@ -104,7 +103,7 @@ def test_angle_gradient_finite_and_zero_at_pole():
     angles[0, 0] = 0.0
     xi, g = gradient_hyperspherical(angles, n)
     assert np.all(np.isfinite(g))
-    states = angles_to_states(angles[:, : n - 1], angles[:, n - 1:])
+    states = angles_to_states(angles)
     assert abs(states[0, 1]) == 0.0 and abs(states[0, 2]) == 0.0
     # phases of zero components cannot matter
     np.testing.assert_allclose(g[0, n - 1:], 0.0, atol=0)
@@ -234,10 +233,24 @@ def test_multi_start_rejects_zero_starts():
 def test_hyperspherical_round_trip_preserves_cost():
     # entering the angle chart gauges each state but cannot change the cost
     s = random_set(3, seed=12)
-    angles = _states_to_angles(s.states)
+    angles = states_to_angles(s.states)
     xi_angles, _ = gradient_hyperspherical(angles, 3)
     xi_direct, _ = cost_and_gradient(np.array(s.states), 3)
     np.testing.assert_allclose(xi_angles, xi_direct, rtol=1e-10)
+
+
+def test_angle_gradient_evaluates_the_chart_once(monkeypatch):
+    chart = gellmann._chart
+    calls = []
+
+    def counting_chart(*args):
+        calls.append(1)
+        return chart(*args)
+
+    monkeypatch.setattr(gellmann, "_chart", counting_chart)
+    angles = states_to_angles(random_set(4, seed=3).states)
+    gradient_hyperspherical(angles, 4)
+    assert len(calls) == 1
 
 
 def test_inverse_gram_matches_scipy_cholesky_wrappers_bitwise():

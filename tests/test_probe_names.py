@@ -1,0 +1,30 @@
+"""The benchmark's trace probes name package attributes by dotted string.
+
+A rename in the package would leave such a probe unresolved, and the traced
+run would only list it among its absent names.  This check resolves every
+quoted `stokesopt.` name in perfbench/child.py the way the tracer does
+(import the module, then get the attribute); it only reads that file.
+"""
+import importlib
+import re
+from pathlib import Path
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+
+def _probe_names() -> set:
+    text = CHILD.read_text(encoding="utf-8")
+    return set(re.findall(r"""["'](stokesopt(?:\.\w+)+)["']""", text))
+
+
+def test_every_probe_name_resolves():
+    names = _probe_names()
+    assert len(names) >= 20
+    unresolved = []
+    for dotted in sorted(names):
+        module_name, _, attr = dotted.rpartition(".")
+        try:
+            getattr(importlib.import_module(module_name), attr)
+        except (ImportError, AttributeError):
+            unresolved.append(dotted)
+    assert unresolved == []
