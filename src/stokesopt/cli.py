@@ -282,7 +282,7 @@ def cmd_optimize(args) -> int:
     mt = metrics(best_set)
     _print_summary({
         "algorithm": args.algo, "n": args.n, "init": args.init,
-        "best_start": best_index, "xi": best.final_xi,
+        "best_start": best_index, "xi": mt.xi,
         "penalty_db": mt.penalty_db, "iterations": best.iterations_used,
         "converged": best.converged, "out": set_path,
     })

@@ -130,13 +130,13 @@ def _as_state(s, n: int | None = None) -> np.ndarray:
     if s.ndim != 1:
         raise DimensionError(f"expected a 1-d state vector, got shape {s.shape}")
     if n is not None and s.shape[0] != n:
-        raise DimensionError(f"state has {s.shape[0]} modes, basis has {n}")
+        raise DimensionError(f"state has {s.shape[0]} modes, expected {n}")
     if s.shape[0] < 2:
         raise DimensionError("state needs at least 2 modes")
     return s
 
 
-def jones_to_stokes(s, basis: GellMannBasis | None = None) -> np.ndarray:
+def jones_to_stokes(s) -> np.ndarray:
     """Map a Jones state to its generalized Stokes vector.
 
     Parameters
@@ -144,27 +144,21 @@ def jones_to_stokes(s, basis: GellMannBasis | None = None) -> np.ndarray:
     s : array_like, shape (n,), complex
         Jones state.  Unit norm gives a unit Stokes vector; the map itself is
         defined for any vector (it scales quadratically with the norm).
-    basis : GellMannBasis, optional
-        Reused basis; constructed (and cached) from len(s) when omitted.
 
     Returns
     -------
     ndarray, shape (n^2-1,), real
     """
-    s = _as_state(s, None if basis is None else basis.n)
-    b = basis if basis is not None else gell_mann_basis(s.shape[0])
-    return jones_to_stokes_batch(s[None, :], b)[0]
+    return jones_to_stokes_batch(_as_state(s)[None, :])[0]
 
 
-def jones_to_stokes_batch(states, basis: GellMannBasis | None = None) -> np.ndarray:
+def jones_to_stokes_batch(states) -> np.ndarray:
     """Vectorized jones_to_stokes for an (m, n) stack of states -> (m, n^2-1)."""
     st = np.asarray(states, dtype=complex)
     if st.ndim != 2:
         raise DimensionError(f"expected (m, n) state stack, got shape {st.shape}")
     n = st.shape[1]
-    b = basis if basis is not None else gell_mann_basis(n)
-    if b.n != n:
-        raise DimensionError(f"states have {n} modes, basis has {b.n}")
+    b = gell_mann_basis(n)
     # <s|L_i|s> = sum_ab s*_a (L_i)_ab s_b; one GEMM for the whole stack
     outer = st.conj()[:, :, None] * st[:, None, :]
     flat = b.matrices.reshape(b.dim, n * n)
@@ -187,17 +181,17 @@ def stokes_dot_from_jones(a, b) -> float:
     return 2.0 * c2 * ((ov.conj() * ov).real - 1.0 / n)
 
 
-def projection_operator(s, basis: GellMannBasis | None = None) -> np.ndarray:
+def projection_operator(s) -> np.ndarray:
     """Rank-one projector |s><s| rebuilt from the state's Stokes image.
 
     Evaluates (1/n) I + (1/(2 c_n)) shat . L, which equals the outer product
     for any unit state.  Useful as a consistency check of the expansion
     conventions rather than as a fast path.
     """
-    s = _as_state(s, None if basis is None else basis.n)
+    s = _as_state(s)
     n = s.shape[0]
-    b = basis if basis is not None else gell_mann_basis(n)
-    shat = jones_to_stokes(s, b)
+    b = gell_mann_basis(n)
+    shat = jones_to_stokes(s)
     acc = np.tensordot(shat, b.matrices, axes=(0, 0))
     return np.eye(n) / n + acc / (2.0 * norm_coeff(n))
 
@@ -220,7 +214,7 @@ class HermitianExpansion:
                 and float(np.max(np.abs(self.vector.imag), initial=0.0)) <= tol)
 
 
-def expand_matrix(m, basis: GellMannBasis | None = None) -> HermitianExpansion:
+def expand_matrix(m) -> HermitianExpansion:
     """Expand an (n, n) matrix over {I, L_i} with the delay-operator scaling.
 
     The vector part carries the same normalization as the group-delay
@@ -233,9 +227,7 @@ def expand_matrix(m, basis: GellMannBasis | None = None) -> HermitianExpansion:
     n = m.shape[0]
     if n < 2:
         raise DimensionError("need at least 2 modes")
-    b = basis if basis is not None else gell_mann_basis(n)
-    if b.n != n:
-        raise DimensionError(f"matrix has {n} modes, basis has {b.n}")
+    b = gell_mann_basis(n)
     scalar = np.trace(m) / n
     # Tr(M L_i) = vector_i / c_n under the normalization above
     traces = np.einsum("iab,ba->i", b.matrices, m)
@@ -243,11 +235,9 @@ def expand_matrix(m, basis: GellMannBasis | None = None) -> HermitianExpansion:
                               vector=norm_coeff(n) * traces)
 
 
-def assemble(e: HermitianExpansion, basis: GellMannBasis | None = None) -> np.ndarray:
+def assemble(e: HermitianExpansion) -> np.ndarray:
     """Inverse of expand_matrix."""
-    b = basis if basis is not None else gell_mann_basis(e.n)
-    if b.n != e.n:
-        raise DimensionError(f"expansion has {e.n} modes, basis has {b.n}")
+    b = gell_mann_basis(e.n)
     vec = np.asarray(e.vector, dtype=complex)
     if vec.shape != (b.dim,):
         raise DimensionError(f"vector part has shape {vec.shape}, expected ({b.dim},)")

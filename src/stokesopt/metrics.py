@@ -7,9 +7,12 @@ amplification of the linear delay-vector reconstruction is
 
 bounded below by n^2 - 1 with equality exactly when the Stokes rows are
 orthonormal.  The per-measurement penalty is delta = xi / (n^2 - 1), reported
-either raw or in dB.  G is always evaluated from Jones overlaps,
-G_jk = 2 c_n^2 (|<s_j|s_k>|^2 - 1/n), which is cheaper and better conditioned
-than squaring an explicitly built S; tests compare the two routes.
+either raw or in dB.  G is always evaluated from Jones overlaps by
+`sets.gram_from_states` (G_jk = 2 c_n^2 (|<s_j|s_k>|^2 - 1/n) on unit
+states), which is cheaper and better conditioned than squaring an
+explicitly built S; tests compare the two routes.  Every xi in the package,
+the optimizer's included, comes from one kernel: the inverse Cholesky factor
+L^-1 of G, with xi = ||L^-1||_F^2.
 """
 from __future__ import annotations
 
@@ -17,8 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import ConfigError, DimensionError, SingularSetError
 from .sets import COND_LIMIT, LaunchSet, _gram_condition, gram_from_states
@@ -60,30 +62,31 @@ def gram(s: LaunchSet) -> np.ndarray:
     return gram_from_states(s.states, s.n)
 
 
-def _cholesky_lower(g: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a real Gram by one direct LAPACK call.
+def _inverse_factor(g: np.ndarray) -> np.ndarray:
+    """The one Tr(G^-1) kernel: L^-1 for the lower Cholesky factor L of a
+    real Gram G = L L^T, by direct LAPACK potrf and trtri calls.
 
-    The same `potrf` call that scipy's cho_factor makes, without its
-    wrapper; the strict upper triangle keeps G's entries.  Shared by the
-    metrics and the optimizer loop (no explicit condition check).
+    potrf zeroes the strict upper triangle (clean=1), which trtri passes
+    through, so L^-1 is exactly lower triangular: xi = ||L^-1||_F^2 (`_xi`)
+    and G^-1 = L^-T L^-1.  Shared by the metrics and the optimizer loop (no
+    explicit condition check).
 
     Raises
     ------
     SingularSetError
         When G is not numerically positive definite.
     """
-    c, info = dpotrf(g, lower=1, clean=0)
+    c, info = dpotrf(g, lower=1, clean=1)
     if info > 0:
         raise SingularSetError(
             f"Gram matrix is not positive definite: {info}-th leading minor "
             "of the array is not positive definite")
-    return c
+    linv, _ = dtrtri(c, lower=1)
+    return linv
 
 
-def _xi_cholesky(g: np.ndarray) -> float:
-    """Tr(G^-1) = ||L^-1||_F^2; raises SingularSetError when G is not SPD."""
-    linv = solve_triangular(_cholesky_lower(g), np.eye(g.shape[0]),
-                            lower=True, trans=0, check_finite=False)
+def _xi(linv: np.ndarray) -> float:
+    """Tr(G^-1) = ||L^-1||_F^2 from the factor `_inverse_factor` returns."""
     return float(np.sum(linv * linv))
 
 
@@ -149,7 +152,7 @@ def metrics_from_gram(g: np.ndarray) -> SetMetrics:
         raise DimensionError(f"Gram size {m} is not n^2-1 for any n >= 2")
     lam = np.linalg.eigvalsh(g)
     _check_conditioning(lam)
-    return _metrics_from_eigs(n, lam, _xi_cholesky(g))
+    return _metrics_from_eigs(n, lam, _xi(_inverse_factor(g)))
 
 
 def variance_prediction(s: LaunchSet, sigma_tg_sq: float) -> float:

@@ -7,18 +7,20 @@ of each state.  Both run the shared two-phase loop: normalized fixed steps
 while the cost is far above the orthonormal bound, then Armijo backtracking.
 A caller sets the algorithm, iteration cap and seed; the rest is fixed.
 
-The cost gradient is exact and analytic.  Writing the Gram entries as
-G_jk = (n/(n-1)) (|<s_j|s_k>|^2 - |s_j|^2 |s_k|^2 / n) extends the cost
-smoothly off the unit spheres, which is what makes plain finite differences
-a valid oracle for the full gradient; the sphere algorithms then project or
-chain-rule that gradient into their own coordinates.
+The cost gradient is exact and analytic.  The Gram of
+`sets.gram_from_states`, G_jk = (n/(n-1)) (|<s_j|s_k>|^2 - |s_j|^2 |s_k|^2 / n),
+extends the cost smoothly off the unit spheres, which is what makes plain
+finite differences a valid oracle for the full gradient; the sphere
+algorithms then project or chain-rule that gradient into their own
+coordinates.
 
-Every cost and gradient goes through one kernel, `_inverse_gram`, which
-factorizes the Gram with direct LAPACK potrf/potrs calls.  Inside `descend`
-the line-search probes keep the factor of their latest probe: the gradient
-after an accepted Armijo step is taken at that very point and reuses the
-factor, so each phase-2 iteration factorizes once per probe and never again
-for its gradient.
+Every cost and gradient goes through the one kernel of `metrics`, the
+inverse Cholesky factor L^-1 of that Gram (LAPACK potrf then trtri), with
+xi = ||L^-1||_F^2, so the optimizer and `metrics` agree to the last bit.
+Inside `descend` the line-search probes keep L^-1 of their latest probe: the
+gradient after an accepted Armijo step is taken at that very point and
+reuses it, so each phase-2 iteration factorizes once per probe and never
+again for its gradient.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from . import spheres
 from .errors import ConfigError, SearchFailedError, SingularSetError
@@ -36,8 +37,8 @@ from .gellmann import (
     angles_to_states_jacobian,
     states_to_angles,
 )
-from .metrics import _cholesky_lower
-from .sets import LaunchSet, canonicalize_phases, random_set
+from .metrics import _inverse_factor, _xi
+from .sets import LaunchSet, canonicalize_phases, gram_from_states, random_set
 from .seeding import rng_for
 
 __all__ = [
@@ -112,35 +113,18 @@ class MultiStartResult:
         return self.runs[self.best_index]
 
 
-def _extension_gram(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ov = states.conj() @ states.T
-    sq = (ov.conj() * ov).real
-    nrm2 = ov.diagonal().real
-    g = (n / (n - 1.0)) * (sq - nrm2[:, None] * nrm2 / n)
-    return g, ov, nrm2
-
-
-def _inverse_gram(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one Tr(G^-1) kernel: (G^-1, overlaps, squared norms) of the
-    extension Gram, by direct LAPACK potrf/potrs calls.
-
-    Raises
-    ------
-    SingularSetError
-        When the Gram is not numerically positive definite.
-    """
-    g, ov, nrm2 = _extension_gram(states, n)
-    ginv, _ = dpotrs(_cholesky_lower(g), np.eye(g.shape[0]), lower=1)
-    return ginv, ov, nrm2
+def _factor(states: np.ndarray, n: int) -> np.ndarray:
+    """L^-1 of the states' Gram; raises SingularSetError when not SPD."""
+    return _inverse_factor(gram_from_states(states, n))
 
 
 def cost_and_gradient(states: np.ndarray, n: int,
-                      factor: tuple | None = None) -> tuple[float, np.ndarray]:
+                      factor: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Cost Tr(G^-1) and its full Euclidean gradient in the state entries.
 
     Valid for non-unit rows as well (the off-sphere extension above), so a
     componentwise finite difference reproduces it without any projection.
-    `factor` is `_inverse_gram(states, n)` when the caller already has it
+    `factor` is L^-1 of the states' Gram when the caller already has it
     (the descent's accepted line-search probe); it is computed otherwise.
 
     Raises
@@ -148,21 +132,22 @@ def cost_and_gradient(states: np.ndarray, n: int,
     SingularSetError
         When the Gram is not numerically positive definite.
     """
-    ginv, ov, nrm2 = factor if factor is not None else _inverse_gram(states, n)
-    xi = float(np.trace(ginv))
+    linv = factor if factor is not None else _factor(states, n)
+    ginv = linv.T @ linv
     q = ginv @ ginv
+    ov = states.conj() @ states.T
+    nrm2 = ov.diagonal().real
     coef = 4.0 * n / (n - 1.0)
     grad = -coef * ((q * ov.conj()) @ states
                     - ((q @ nrm2) / n)[:, None] * states)
-    return xi, grad
+    return _xi(linv), grad
 
 
 def _cost_only(states: np.ndarray, n: int) -> float:
     try:
-        ginv, _, _ = _inverse_gram(states, n)
+        return _xi(_factor(states, n))
     except SingularSetError:
         return math.inf
-    return float(np.trace(ginv))
 
 
 def _memoized_probe(n: int, to_states):
@@ -170,9 +155,9 @@ def _memoized_probe(n: int, to_states):
 
     Returns (cost_fn, factor_at).  cost_fn(point) is Tr(G^-1) at
     to_states(point), inf when singular.  factor_at(point) is that probe's
-    `_inverse_gram` result when `point` is the very array probed last, else
-    None.  armijo_step returns the array it accepted, which is always its
-    last probe, so the gradient after each accepted step reuses the factor
+    L^-1 when `point` is the very array probed last, else None.
+    armijo_step returns the array it accepted, which is always its last
+    probe, so the gradient after each accepted step reuses the factor
     instead of rebuilding the Gram and its Cholesky factor.
     """
     last = []
@@ -180,11 +165,11 @@ def _memoized_probe(n: int, to_states):
     def cost_fn(point):
         last.clear()
         try:
-            factor = _inverse_gram(to_states(point), n)
+            factor = _factor(to_states(point), n)
         except SingularSetError:
             return math.inf
         last.append((point, factor))
-        return float(np.trace(factor[0]))
+        return _xi(factor)
 
     def factor_at(point):
         return last[0][1] if last and last[0][0] is point else None
@@ -193,14 +178,14 @@ def _memoized_probe(n: int, to_states):
 
 
 def gradient_jones(states: np.ndarray, n: int,
-                   factor: tuple | None = None) -> tuple[float, np.ndarray]:
+                   factor: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Cost and tangent-projected gradient for the projected algorithm."""
     xi, grad = cost_and_gradient(states, n, factor)
     return xi, spheres.tangent_project(states, grad)
 
 
 def gradient_hyperspherical(angles: np.ndarray, n: int,
-                            factor: tuple | None = None) -> tuple[float, np.ndarray]:
+                            factor: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Cost and gradient in the stacked angle chart.
 
     `angles` is a stacked (m, 2(n-1)) angle array in the layout of

@@ -107,15 +107,19 @@ class SimplexSet:
         self.states = st
 
 
-def _overlap_sq_to_gram(q: np.ndarray, n: int) -> np.ndarray:
-    # shat_j . shat_k = 2 c_n^2 (|<s_j|s_k>|^2 - 1/n)
-    return (n / (n - 1.0)) * (q - 1.0 / n)
-
-
 def gram_from_states(states: np.ndarray, n: int) -> np.ndarray:
-    """Stokes Gram of a state stack straight from Jones overlaps."""
+    """Stokes Gram of a state stack straight from Jones overlaps.
+
+    G_jk = (n/(n-1)) (|<s_j|s_k>|^2 - |s_j|^2 |s_k|^2 / n).  On unit rows
+    this is shat_j . shat_k = 2 c_n^2 (|<s_j|s_k>|^2 - 1/n); off the unit
+    spheres it is the smooth extension whose cost the optimizer's gradient
+    reproduces entry by entry.
+    """
     ov = states.conj() @ states.T
-    return _overlap_sq_to_gram((ov.conj() * ov).real, n)
+    nrm2 = ov.diagonal().real.copy()
+    # |<s_j|s_k>|^2 overwrites the overlaps: one m x m complex buffer
+    sq = np.multiply(ov.conj(), ov, out=ov).real
+    return (n / (n - 1.0)) * (sq - nrm2[:, None] * nrm2 / n)
 
 
 def _gram_condition(lam: np.ndarray) -> float:
@@ -180,7 +184,7 @@ def yang_gram(n: int) -> np.ndarray:
             q[nx + p1, nx + npr + p2] = (
                 (d(i, k) + d(j, k)) ** 2 + (d(i, l) + d(j, l)) ** 2) / 4.0
             q[nx + npr + p2, nx + p1] = q[nx + p1, nx + npr + p2]
-    return _overlap_sq_to_gram(q, n)
+    return (n / (n - 1.0)) * (q - 1.0 / n)
 
 
 # ---------------------------------------------------------------------------

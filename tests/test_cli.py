@@ -171,6 +171,16 @@ def test_optimize_rerun_is_byte_identical():
     assert differing <= {"timestamp", "wall_time_s"}
 
 
+def test_optimize_summary_xi_is_the_saved_sets_xi(capsys):
+    # the summary describes the written file, whose phases are canonicalized
+    # after the descent, so evaluate on that file prints the very same xi
+    assert run_cli("optimize", "--n", "3", "--starts", "2",
+                   "--max-iter", "1500", "--out", "x3") == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert run_cli("evaluate", "--set", "x3.json") == 0
+    assert json.loads(capsys.readouterr().out)["xi"] == summary["xi"]
+
+
 def test_optimize_family_init_descends_from_saddle(capsys):
     assert run_cli("optimize", "--n", "3", "--algo", "projected",
                    "--init", "mub", "--max-iter", "4000", "--out", "m3") == 0

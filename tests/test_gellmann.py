@@ -185,9 +185,6 @@ def test_dimension_errors():
         stokes_dot_from_jones(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DimensionError):
         expand_matrix(np.zeros((2, 3)))
-    b3 = gell_mann_basis(3)
-    with pytest.raises(DimensionError):
-        jones_to_stokes(np.array([1.0, 0.0]), basis=b3)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtrtri
 
 from stokesopt.errors import ConfigError, DimensionError, SingularSetError
 from stokesopt.metrics import (
@@ -23,7 +24,8 @@ from stokesopt.metrics import (
     metrics_from_gram,
     penalty_db,
     variance_prediction,
-    _xi_cholesky,
+    _inverse_factor,
+    _xi,
 )
 from stokesopt.sets import (
     LaunchSet,
@@ -174,13 +176,33 @@ def test_penalty_db_values():
 
 
 def test_xi_cholesky_matches_cho_factor_route_bitwise():
-    # the direct potrf call is the one cho_factor makes, so evaluate/sweep
-    # output bytes do not depend on which of the two computes xi
+    # the direct potrf call is the one cho_factor makes, so L^-1 and xi
+    # equal trtri of cho_factor's factor (upper part zeroed) to the bit
     for n, seed in ((2, 1), (4, 2), (7, 3)):
-        g = gram(random_set(n, seed=seed))
+        s = random_set(n, seed=seed)
+        g = gram(s)
         c, lower = cho_factor(g, lower=True, check_finite=False)
-        linv = solve_triangular(c, np.eye(g.shape[0]), lower=True,
-                                trans=0, check_finite=False)
-        assert _xi_cholesky(g) == float(np.sum(linv * linv))
+        ref, info = dtrtri(np.tril(c), lower=1)
+        assert info == 0
+        linv = _inverse_factor(g)
+        assert linv.tobytes() == ref.tobytes()
+        assert _xi(linv) == float(np.sum(ref * ref)) == metrics(s).xi
     with pytest.raises(SingularSetError, match="not positive definite"):
-        _xi_cholesky(-np.eye(3))
+        _inverse_factor(-np.eye(3))
+
+
+def test_inverse_factor_matches_cho_solve_reference():
+    # reference G^-1 from scipy's cho_factor/cho_solve against I (a route
+    # the package does not use).  Tolerance: 1e-13 relative on xi and
+    # 1e-13 * max|G^-1| on each entry of L^-T L^-1; the largest misses
+    # measured for these sets (cond(G) up to 7e4) are 3.5e-16 and 9.1e-16.
+    for n in range(2, 9):
+        g = gram(random_set(n, seed=n))
+        ref = cho_solve(cho_factor(g, lower=True), np.eye(g.shape[0]))
+        linv = _inverse_factor(g)
+        assert not np.any(np.triu(linv, 1))  # potrf must clean the upper part
+        np.testing.assert_allclose(_xi(linv), np.trace(ref), rtol=1e-13)
+        np.testing.assert_allclose(linv.T @ linv, ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+    with pytest.raises(SingularSetError, match="not positive definite"):
+        _inverse_factor(-np.eye(3))

@@ -8,11 +8,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dtrtri
 
 from stokesopt import gellmann, optimize, spheres
 from stokesopt.errors import ConfigError, SingularSetError
 from stokesopt.gellmann import angles_to_states, states_to_angles
+from stokesopt.metrics import cost, metrics, _inverse_factor
 from stokesopt.optimize import (
     OptimizerConfig,
     OptimizerRun,
@@ -22,12 +24,14 @@ from stokesopt.optimize import (
     gradient_hyperspherical,
     gradient_jones,
     multi_start,
-    _extension_gram,
-    _inverse_gram,
+    _cost_only,
+    _factor,
     _memoized_probe,
 )
 from stokesopt.sets import (
     LaunchSet,
+    bundled_optimal_set,
+    gram_from_states,
     mub_set,
     random_set,
     random_states,
@@ -110,8 +114,6 @@ def test_angle_gradient_finite_and_zero_at_pole():
 
 
 def test_cost_extension_matches_on_sphere_cost():
-    from stokesopt.metrics import cost
-
     s = random_set(4, seed=1)
     xi, _ = cost_and_gradient(np.array(s.states), 4)
     np.testing.assert_allclose(xi, cost(s), rtol=1e-12)
@@ -254,21 +256,46 @@ def test_angle_gradient_evaluates_the_chart_once(monkeypatch):
 
 
 def test_inverse_gram_matches_scipy_cholesky_wrappers_bitwise():
-    # the direct potrf/potrs calls are the ones cho_factor/cho_solve make
+    # the optimizer's factor is trtri of the potrf factor cho_factor makes
+    # of the same Gram, so its cost and G^-1 = L^-T L^-1 match to the bit
     for n, seed in ((2, 1), (4, 2), (6, 3)):
         states = np.array(random_set(n, seed=seed).states)
-        g, _, _ = _extension_gram(states, n)
-        ref = cho_solve(cho_factor(g, lower=True, check_finite=False),
-                        np.eye(g.shape[0]), check_finite=False)
-        ginv, _, _ = _inverse_gram(states, n)
-        assert ginv.tobytes() == ref.tobytes()
+        c, _ = cho_factor(gram_from_states(states, n), lower=True,
+                          check_finite=False)
+        ref, info = dtrtri(np.tril(c), lower=1)
+        assert info == 0
+        linv = _factor(states, n)
+        assert linv.tobytes() == ref.tobytes()
+        assert (linv.T @ linv).tobytes() == (ref.T @ ref).tobytes()
+        assert cost_and_gradient(states, n)[0] == float(np.sum(ref * ref))
+
+
+def _xi_sample_sets():
+    return ([random_set(n, seed=seed) for n in range(2, 7)
+             for seed in range(5)]
+            + [yang_nolan(n) for n in range(2, 6)]
+            + [mub_set(5), bundled_optimal_set()])
+
+
+def test_every_xi_route_gives_the_same_float():
+    # metrics, cost, the descent's probe, its gradient call and the
+    # finite-difference cost share one Gram and one inverse factor
+    sets = _xi_sample_sets()
+    assert len(sets) == 31
+    for s in sets:
+        xi = metrics(s).xi
+        probe, _ = _memoized_probe(s.n, lambda st: st)
+        assert cost(s) == xi
+        assert cost_and_gradient(s.states, s.n)[0] == xi
+        assert _cost_only(s.states, s.n) == xi
+        assert probe(s.states) == xi
 
 
 def test_inverse_gram_singular_message():
     states = np.array(random_set(3, seed=4).states)
     states[0] = 0.0
     with pytest.raises(SingularSetError) as err:
-        _inverse_gram(states, 3)
+        _inverse_factor(gram_from_states(states, 3))
     assert str(err.value) == (
         "Gram matrix is not positive definite: 1-th leading minor of the "
         "array is not positive definite")
@@ -278,7 +305,7 @@ def test_cost_and_gradient_with_reused_factor_is_bitwise_fresh():
     for n, seed in ((3, 6), (4, 5)):
         states = np.array(random_set(n, seed=seed).states)
         xi, grad = cost_and_gradient(states, n)
-        xi_r, grad_r = cost_and_gradient(states, n, _inverse_gram(states, n))
+        xi_r, grad_r = cost_and_gradient(states, n, _factor(states, n))
         assert xi_r == xi
         assert np.array_equal(grad_r, grad)
 
