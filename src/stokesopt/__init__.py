@@ -6,7 +6,7 @@ Library layout:
                stacked (m, 2(n-1)) angle arrays
     sets       launch-set families (Yang-Nolan, MUB, SIC, random, simplex)
     metrics    Gram matrix, noise-amplification cost, set diagnostics
-    spheres    two-phase descent loop on products of spheres
+    spheres    L-BFGS + Armijo descent loop on products of spheres or a chart
     optimize   cost, gradients and multi-start descent (serial by default)
     fibersim   simulated modal-dispersion / mode-dependent-loss measurement
     seeding    deterministic RNG streams

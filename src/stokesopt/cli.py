@@ -217,8 +217,7 @@ def _starts_rows(runs) -> list:
         rows.append([
             str(i), run.algorithm, _fmt(run.initial_xi), _fmt(run.final_xi),
             _fmt(run.grad_norm), str(run.iterations_used),
-            str(run.phase1_iters), str(int(run.converged)),
-            str(int(run.aborted)), run.stop_reason,
+            str(int(run.converged)), str(int(run.aborted)), run.stop_reason,
         ])
     return rows
 
@@ -236,7 +235,7 @@ def _cli_workers() -> int:
 
 
 _STARTS_HEADER = ("start,algorithm,initial_xi,final_xi,grad_norm,"
-                  "iterations,phase1_iterations,converged,aborted,stop_reason")
+                  "iterations,converged,aborted,stop_reason")
 
 
 def cmd_optimize(args) -> int:

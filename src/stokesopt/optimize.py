@@ -3,8 +3,8 @@
 Two parameterizations of the same search space are offered: "projected"
 walks the states directly on the product of unit spheres (tangent gradient
 plus renormalization), "hyperspherical" walks the unconstrained angle chart
-of each state.  Both run the shared two-phase loop: normalized fixed steps
-while the cost is far above the orthonormal bound, then Armijo backtracking.
+of each state.  Both run the one loop of `spheres`: L-BFGS directions
+searched by Armijo backtracking, stopped once the cost no longer falls.
 A caller sets the algorithm, iteration cap and seed; the rest is fixed.
 
 The cost gradient is exact and analytic.  The Gram of
@@ -19,8 +19,8 @@ inverse Cholesky factor L^-1 of that Gram (LAPACK potrf then trtri), with
 xi = ||L^-1||_F^2, so the optimizer and `metrics` agree to the last bit.
 Inside `descend` the line-search probes keep L^-1 of their latest probe: the
 gradient after an accepted Armijo step is taken at that very point and
-reuses it, so each phase-2 iteration factorizes once per probe and never
-again for its gradient.
+reuses it, so each iteration factorizes once per probe and never again for
+its gradient.
 """
 from __future__ import annotations
 
@@ -63,12 +63,10 @@ class OptimizerConfig:
     """Descent settings: the algorithm, the iteration cap and the seed of
     the first multi-start set.
 
-    The rest of the descent is fixed.  With m = n^2 - 1 it stops once the
-    gradient norm is at most 1e-9 m, and phase 1 takes normalized steps of
-    0.01 sqrt(n_params) (n_params the real parameter count of the chosen
-    parameterization) while the cost exceeds 10 m, ten times the orthonormal
-    bound.  The Armijo search uses fraction 0.3, backtracking factor 0.5 and
-    first trial step 1 (the constants in `spheres`).
+    The rest is fixed by the constants in `spheres`: L-BFGS directions
+    searched by Armijo backtracking, converged once the cost fell by at most
+    1e-12 of itself over 10 iterations or the gradient norm is at most 1e-9 m
+    (m = n^2 - 1).
     """
 
     algorithm: str = "hyperspherical"
@@ -93,7 +91,7 @@ class OptimizerRun:
     final_xi: float
     grad_norm: float
     iterations_used: int
-    phase1_iters: int
+    phase1_iters: int  # always 0: the descent has no fixed-step phase
     converged: bool
     aborted: bool
     stop_reason: str
@@ -206,27 +204,23 @@ def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> Optimi
         config = OptimizerConfig()
     n, m = initial.n, initial.m
 
-    if config.algorithm == "projected":
-        n_params = 2 * m * n
+    on_spheres = config.algorithm == "projected"
+    if on_spheres:
         point0 = np.array(initial.states, dtype=complex)
         cost_fn, factor_at = _memoized_probe(n, lambda st: st)
         grad_fn = lambda st: gradient_jones(st, n, factor_at(st))
-        retract = spheres.normalize_rows
     else:
-        n_params = 2 * m * (n - 1)
         point0 = states_to_angles(initial.states)
         cost_fn, factor_at = _memoized_probe(n, angles_to_states)
         grad_fn = lambda a: gradient_hyperspherical(a, n, factor_at(a))
-        retract = spheres.no_retraction
 
     initial_xi = _cost_only(np.array(initial.states, dtype=complex), n)
     res = spheres.projected_descent(
         cost_fn, grad_fn, point0,
         grad_tol=1e-9 * m, max_iters=config.max_iters,
-        phase1_threshold=10.0 * m, phase1_step=0.01 * math.sqrt(n_params),
-        log_stride=max(1, config.max_iters // 2000), retract=retract)
+        log_stride=max(1, config.max_iters // 2000), on_spheres=on_spheres)
 
-    if config.algorithm == "projected":
+    if on_spheres:
         final_states = res.states
     else:
         final_states = angles_to_states(res.states)
@@ -244,7 +238,7 @@ def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> Optimi
     return OptimizerRun(
         final_set=final_set, algorithm=config.algorithm,
         initial_xi=initial_xi, final_xi=res.cost, grad_norm=res.grad_norm,
-        iterations_used=res.iterations, phase1_iters=res.phase1_iters,
+        iterations_used=res.iterations, phase1_iters=0,
         converged=res.converged, aborted=res.aborted,
         stop_reason=res.stop_reason, trajectory=res.log.as_array())
 

@@ -445,7 +445,8 @@ def simplex_set(n: int, seed: int = 0) -> SimplexSet:
     the mean measured delay over the basis the common-mode delay exactly."""
     if n < 2:
         raise DimensionError(f"need at least 2 modes, got n={n}")
-    u = haar_unitary(n, rng_for(seed))
+    # a stream of its own: rng_for(seed) builds a synthetic fiber's unitary
+    u = haar_unitary(n, rng_for(seed, 501))
     return SimplexSet(n=n, states=u.T.copy())
 
 

@@ -6,10 +6,10 @@ the tangent projection removes the radial component Re<s|g> s row by row and a
 step retracts by renormalizing rows.
 
 The launch-set optimizer drives this module, supplying its own
-cost/gradient callables for either parameterization.  The line search is
-plain Armijo backtracking with a warm-started, regrowing trial step; its
-sufficient-decrease fraction, backtracking factor and first trial step are
-the fixed module constants below.
+cost/gradient callables for either parameterization.  Each iteration
+searches the L-BFGS direction (Nocedal 1980; Liu & Nocedal 1989) by plain
+Armijo backtracking; the memory, line-search constants and stop rule are the
+fixed module constants below.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "normalize_rows",
-    "no_retraction",
     "tangent_project",
     "armijo_step",
     "DescentLog",
@@ -31,17 +30,15 @@ __all__ = [
 _STEP_FLOOR = 1e-18
 _ARMIJO_FRACTION = 0.3   # sufficient-decrease fraction of the slope
 _BACKTRACK_FACTOR = 0.5  # trial-step shrink per rejected probe
-_FIRST_STEP = 1.0        # trial step of the first phase-2 line search
+_FIRST_STEP = 1.0        # trial step of every line search
+_MEMORY = 15             # (s, y) pairs kept by L-BFGS
+_WINDOW = 10             # converged once the cost fell over this many steps
+_DROP = 1e-12            # ... by at most this fraction of itself
 
 
 def normalize_rows(states: np.ndarray) -> np.ndarray:
     """Retract onto the product of spheres."""
     return states / np.linalg.norm(states, axis=1)[:, None]
-
-
-def no_retraction(point: np.ndarray) -> np.ndarray:
-    """Identity map, for unconstrained parameterizations (angle charts)."""
-    return point
 
 
 def tangent_project(states: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -80,6 +77,22 @@ def armijo_step(cost_fn: Callable[[np.ndarray], float],
     return t, None, f0
 
 
+def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
+    """Two-loop recursion for -H g from the (s, y) pairs, oldest first, with
+    H0 = s.y / y.y of the newest; -g when there are none.  Complex entries
+    count as pairs of reals: every inner product is Re vdot."""
+    q, alphas = g, []
+    for s, y in reversed(pairs):
+        alphas.append(np.vdot(s, q).real / np.vdot(y, s).real)
+        q = q - alphas[-1] * y
+    if pairs:
+        s, y = pairs[-1]
+        q = (np.vdot(s, y).real / np.vdot(y, y).real) * q
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        q = q + (a - np.vdot(y, q).real / np.vdot(y, s).real) * s
+    return -q
+
+
 @dataclass
 class DescentLog:
     """Decimated per-iteration samples (iteration, cost, gradient norm)."""
@@ -104,7 +117,6 @@ class DescentResult:
     iterations: int
     converged: bool
     aborted: bool
-    phase1_iters: int
     log: DescentLog
     stop_reason: str
 
@@ -115,83 +127,77 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
                       *,
                       grad_tol: float,
                       max_iters: int,
-                      phase1_threshold: float,
-                      phase1_step: float,
                       log_stride: int,
-                      retract: Callable[[np.ndarray], np.ndarray],
+                      on_spheres: bool,
                       ) -> DescentResult:
-    """Two-phase gradient descent with a pluggable retraction.
+    """L-BFGS descent searched by `armijo_step` from _FIRST_STEP.
 
-    `normalize_rows` as the retraction gives descent on the product of unit
-    spheres; `no_retraction` turns the same loop into plain descent over an
-    unconstrained parameterization.
+    With on_spheres the loop walks the product of unit spheres: trial points
+    are retracted by `normalize_rows`, and the (s, y) pairs, y = g - g_old,
+    are carried to each new point by tangent projection.  Without it the
+    loop is plain L-BFGS in a chart.  Pairs with y.s <= 0 are not stored; a
+    direction that does not descend is replaced by -g and the pairs are
+    cleared.  Accepted costs strictly decrease.
 
-    Phase 1: while cost > phase1_threshold, take steps of length phase1_step
-    along the normalized gradient.  Costs may transiently rise here; the
-    phase exists to walk down the steep cliff of nearly singular
-    configurations where backtracking would crawl.  The switch to phase 2 is
-    one-way.
-
-    Phase 2: Armijo backtracking along the negative gradient with a warm
-    trial step (_FIRST_STEP, then the last accepted step divided by
-    _BACKTRACK_FACTOR).  Accepted costs are strictly decreasing; a stalled
-    line search terminates the run.
+    `converged` is true exactly when the run stops as "converged": the
+    gradient norm is at most grad_tol, or the cost fell by at most _DROP of
+    itself over the last _WINDOW iterations.  Other stops are "max_iters",
+    "line_search_stall" and, aborted, "singular_iterate".
 
     grad_fn must return (cost, gradient) with the gradient already in the
     parameterization's own coordinates (tangent-projected for the sphere
     case); cost_fn alone is used for the cheaper line-search probes.
     """
+    # identity in the chart, so the probe memo sees the very array it probed
+    retract = normalize_rows if on_spheres else (lambda point: point)
     states = retract(np.array(states0))
     log = DescentLog(stride=log_stride)
     f, g = grad_fn(states)
     gnorm = float(np.linalg.norm(g))
     log.record(0, f, gnorm, force=True)
 
-    in_phase1 = f > phase1_threshold
-    phase1_iters = 0
-    t_warm = _FIRST_STEP
+    pairs, costs = [], [f]
     it = 0
     stop_reason = "max_iters"
-    converged = False
-    aborted = False
 
     while it < max_iters:
         if gnorm <= grad_tol:
-            stop_reason = "grad_tol"
-            converged = True
+            stop_reason = "converged"
             break
         it += 1
-        if in_phase1:
-            states = retract(states - (phase1_step / max(gnorm, 1e-300)) * g)
-            try:
-                f, g = grad_fn(states)
-            except ArithmeticError:
-                aborted = True
-                stop_reason = "singular_iterate"
-                break
-            gnorm = float(np.linalg.norm(g))
-            phase1_iters = it
-            if f <= phase1_threshold:
-                in_phase1 = False
-        else:
-            t, trial, ft = armijo_step(cost_fn, states, f, -g, -gnorm * gnorm,
-                                       t_warm, retract)
-            if trial is None:
-                stop_reason = "line_search_stall"
-                break
-            states, f = trial, ft
-            t_warm = min(t / _BACKTRACK_FACTOR, 1e6)
-            try:
-                _, g = grad_fn(states)
-            except ArithmeticError:
-                aborted = True
-                stop_reason = "singular_iterate"
-                break
-            gnorm = float(np.linalg.norm(g))
+        direction = _lbfgs_direction(g, pairs)
+        slope = np.vdot(g, direction).real
+        if not slope < 0.0:
+            pairs.clear()
+            direction, slope = -g, -gnorm * gnorm
+        _, trial, ft = armijo_step(cost_fn, states, f, direction, slope,
+                                   _FIRST_STEP, retract)
+        if trial is None:
+            stop_reason = "line_search_stall"
+            break
+        step, g_old = trial - states, g
+        states, f = trial, ft
+        try:
+            _, g = grad_fn(states)
+        except ArithmeticError:
+            stop_reason = "singular_iterate"
+            break
+        gnorm = float(np.linalg.norm(g))
+        pairs.append((step, g - g_old))
+        if on_spheres:
+            pairs = [(tangent_project(states, s), tangent_project(states, y))
+                     for s, y in pairs]
+        if np.vdot(*pairs[-1]).real <= 0.0:
+            pairs.pop()
+        del pairs[:-_MEMORY]
         log.record(it, f, gnorm)
+        costs.append(f)
+        if it >= _WINDOW and costs[it - _WINDOW] - f <= _DROP * f:
+            stop_reason = "converged"
+            break
 
     log.record(it, f, gnorm, force=True)
     return DescentResult(states=states, cost=f, grad_norm=gnorm, iterations=it,
-                         converged=converged, aborted=aborted,
-                         phase1_iters=phase1_iters, log=log,
+                         converged=stop_reason == "converged",
+                         aborted=stop_reason == "singular_iterate", log=log,
                          stop_reason=stop_reason)

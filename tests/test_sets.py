@@ -287,6 +287,16 @@ def test_simplex_deterministic():
     assert np.array_equal(a.states, b.states)
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_simplex_stream_is_not_the_fiber_unitary_stream(seed):
+    # the simplex and a synthetic fiber built from the same seed draw
+    # independent unitaries, so the simplex is not the fiber's U transposed
+    from stokesopt.fibersim import synth_md_fiber
+    fiber = synth_md_fiber(4, 0.0, np.zeros(15), seed=seed)
+    simplex = simplex_set(4, seed=seed).states
+    assert np.max(np.abs(simplex - fiber.base_unitary.T)) > 0.1
+
+
 def test_set_constructors_validate():
     with pytest.raises(DimensionError):
         LaunchSet(n=2, states=np.eye(2, dtype=complex))  # wrong count
