@@ -26,7 +26,6 @@ from .errors import (
 )
 from .gellmann import (
     GellMannBasis,
-    HermitianExpansion,
     assemble,
     expand_matrix,
     gell_mann_basis,
@@ -65,10 +64,10 @@ from .optimize import (
 from .fibersim import (
     FiberModel,
     MdlEstimate,
-    MeasurementRecord,
     ReceiverModel,
     measure_delay,
     monte_carlo_md,
+    monte_carlo_mdl,
     reconstruct_md,
     reconstruct_mdl,
     synth_md_fiber,

@@ -450,43 +450,25 @@ def _simulate_md(doc, fiber, scenario_path, where, args):
 def _simulate_mdl(doc, fiber, scenario_path, where, args):
     ls = _launch_set_from(doc, scenario_path, where)
     trials = _scenario_field(doc, "trials", int, where)
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
     seed = _seed_field(doc, "seed", where, 0)
     rel_noise = _scenario_field(doc, "attenuation_rel_noise", float, where,
                                 0.0)
     sx = simplex_set(fiber.n, seed=_seed_field(doc, "simplex_seed", where,
                                                seed))
-    alpha0_true, gamma_true = fibersim.mdl_parameters(fiber)
+    res = fibersim.monte_carlo_mdl(fiber, ls, sx, rel_noise, trials, seed=seed)
     ev = np.linalg.eigvalsh(fiber.loss_matrix(squared=True))
-    ratio_true = float(ev[-1] / ev[0])
-
-    gamma_sq = alpha0_sq = ratio_sum = 0.0
-    trial_rows = []
-    for t in range(trials):
-        set_records = [
-            fibersim.measure_attenuation(fiber, s, rel_noise=rel_noise,
-                                         seed=(seed, t, i))
-            for i, s in enumerate(ls.states)]
-        simplex_records = [
-            fibersim.measure_attenuation(fiber, s, rel_noise=rel_noise,
-                                         seed=(seed, t, ls.m + i))
-            for i, s in enumerate(sx.states)]
-        est = fibersim.reconstruct_mdl(ls, sx, set_records, simplex_records)
-        g_err = float(np.sum((est.gamma - gamma_true) ** 2))
-        gamma_sq += g_err
-        alpha0_sq += (est.alpha0 - alpha0_true) ** 2
-        ratio_sum += est.mdl_ratio
-        trial_rows.append([str(t), _fmt(g_err), _fmt(est.alpha0),
-                           _fmt(est.mdl_ratio)])
     summary = {
         "mode": "mdl", "n": fiber.n, "trials": trials,
         "rel_noise": rel_noise, "set_family": ls.family,
-        "alpha0_true": alpha0_true, "mdl_ratio_true": ratio_true,
-        "gamma_mse": gamma_sq / trials,
-        "alpha0_mse": alpha0_sq / trials,
-        "mdl_ratio_mean": ratio_sum / trials,
+        "alpha0_true": res["alpha0_true"],
+        "mdl_ratio_true": float(ev[-1] / ev[0]),
+        "gamma_mse": res["gamma_mse"],
+        "alpha0_mse": res["alpha0_mse"],
+        "mdl_ratio_mean": res["mdl_ratio_mean"],
+        "predicted_gamma_mse": res["predicted_gamma_mse"],
     }
+    columns = zip(res["gamma_sq_errors"], res["alpha0"], res["mdl_ratio"])
+    trial_rows = [[str(t), *map(_fmt, row)] for t, row in enumerate(columns)]
     return summary, ("trial,gamma_sq_error,alpha0,mdl_ratio", trial_rows)
 
 
@@ -512,10 +494,10 @@ def _simulate_joint(doc, fiber, scenario_path, where, args):
     unitarity = float(np.max(np.abs(w.conj().T @ w - np.eye(fiber.n))))
     tau0_est = fibersim.estimate_tau0(equalized, rx, sx,
                                       seed=(seed, _TAU0_STREAM))
-    records = [fibersim.measure_delay(equalized, s, rx,
-                                      seed=(seed, _DELAY_STREAM, i))
-               for i, s in enumerate(ls.states)]
-    md_est = fibersim.reconstruct_md(ls, records, tau0_est)
+    delays = [fibersim.measure_delay(equalized, s, rx,
+                                     seed=(seed, _DELAY_STREAM, i))
+              for i, s in enumerate(ls.states)]
+    md_est = fibersim.reconstruct_md(ls, delays, tau0_est)
     composed = fibersim.compose_gd_operator(
         fiber.n, tau0_est, md_est, fibersim.loss_matrix_from_estimate(est))
     direct = fibersim.full_gd_operator(fiber, domega)

@@ -16,6 +16,10 @@ d_i + g_i . e, with d_i its noiseless delay, e i.i.d. Gaussian noise and g_i
 a fixed gain (1 in analytic mode, the first-moment weights over the
 noiseless windowed energy in waveform mode).  measure_delay, estimate_tau0
 and monte_carlo_md all compute (d, g) once per launch and then only draw e.
+Likewise a power reading is a (1 + rel_noise z) of the clean attenuation a:
+monte_carlo_mdl takes each a once from measure_attenuation and then only
+draws z.  Readings are plain floats; reconstruct_md and reconstruct_mdl
+check that every reading handed to them is finite.
 
 Units are SI throughout: seconds, Hz, rad/s for the frequency detuning,
 watts, amperes, joules, metres.  Mixing propagation quantities (delays)
@@ -42,7 +46,6 @@ from .errors import (
     SingularSetError,
 )
 from .gellmann import (
-    HermitianExpansion,
     assemble,
     expand_matrix,
     jones_to_stokes,
@@ -56,7 +59,6 @@ from .sets import LaunchSet, SimplexSet, haar_unitary
 __all__ = [
     "FiberModel",
     "ReceiverModel",
-    "MeasurementRecord",
     "MdlEstimate",
     "ComplexGdOperator",
     "synth_md_fiber",
@@ -70,6 +72,7 @@ __all__ = [
     "reconstruct_md",
     "scaled_delay_variance",
     "monte_carlo_md",
+    "monte_carlo_mdl",
     "measure_attenuation",
     "mdl_parameters",
     "predicted_attenuation",
@@ -268,25 +271,6 @@ class ReceiverModel:
         return w * (3.0 / (8.0 * self.sample_rate))
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One readout: a delay (s) or an attenuation (dimensionless)."""
-
-    launch_index: int
-    value: float
-    kind: str
-    mode: str
-    seed: object = None
-
-    def __post_init__(self):
-        if self.kind not in ("delay", "attenuation"):
-            raise ConfigError(f"unknown record kind {self.kind!r}")
-        if self.mode not in DELAY_MODES:
-            raise ConfigError(f"unknown record mode {self.mode!r}")
-        if not math.isfinite(self.value):
-            raise ConfigError("measurement value must be finite")
-
-
 @dataclass
 class MdlEstimate:
     """Loss parameters recovered from attenuation records.
@@ -385,15 +369,9 @@ def synth_mdl_fiber(n: int, pa_coeffs, z: float, seed: int = 0,
                       pa_slope=pa_slope, z=float(z))
 
 
-def _expansion(n: int, scalar: float, vector) -> np.ndarray:
-    """The matrix scalar * I + vector . L / (2 c_n) of real coefficients."""
-    return assemble(HermitianExpansion(
-        n=n, scalar=complex(scalar), vector=vector.astype(complex)))
-
-
 def delay_operator(f: FiberModel) -> np.ndarray:
     """Hermitian generator tau0*I + md_vector . L / (2 c_n)."""
-    return _expansion(f.n, f.tau0, f.md_vector)
+    return assemble(f.n, f.tau0, f.md_vector)
 
 
 def propagate_unitary(f: FiberModel, domega: float) -> np.ndarray:
@@ -405,7 +383,8 @@ def propagate_unitary(f: FiberModel, domega: float) -> np.ndarray:
     return f.base_unitary @ ((v * phases) @ v.conj().T)
 
 
-def numeric_gd_expansion(f: FiberModel, domega: float) -> HermitianExpansion:
+def numeric_gd_expansion(f: FiberModel,
+                         domega: float) -> tuple[complex, np.ndarray]:
     """Extract (tau0, md_vector) from U by a central difference in omega.
 
     Serves as the self-consistency check that propagation really is
@@ -502,8 +481,7 @@ def _noisy_reads(delays: np.ndarray, gain: np.ndarray, sigma: float,
 
 
 def measure_delay(f: FiberModel, state, rx: ReceiverModel,
-                  mode: str = "analytic", seed=None,
-                  launch_index: int = -1) -> MeasurementRecord:
+                  mode: str = "analytic", seed=None) -> float:
     """One group-delay readout d + g . e for a unit launch state.
 
     Analytic mode adds Gaussian noise of the closed-form variance to the
@@ -523,8 +501,7 @@ def measure_delay(f: FiberModel, state, rx: ReceiverModel,
     if noisy:
         value += float(np.vdot(gain, _rng_from(seed).normal(0.0, sigma,
                                                             gain.shape)))
-    return MeasurementRecord(launch_index=launch_index, value=value,
-                             kind="delay", mode=mode, seed=seed)
+    return value
 
 
 def estimate_tau0(f: FiberModel, rx: ReceiverModel, simplex: SimplexSet,
@@ -555,10 +532,14 @@ def estimate_tau0(f: FiberModel, rx: ReceiverModel, simplex: SimplexSet,
 # Delay-vector reconstruction
 # ---------------------------------------------------------------------------
 
-def _record_values(records) -> np.ndarray:
-    vals = [r.value if isinstance(r, MeasurementRecord) else float(r)
-            for r in records]
-    return np.asarray(vals, dtype=float)
+def _readings(values, count: int, what: str) -> np.ndarray:
+    """`count` outside readings as a float array; each must be finite."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (count,):
+        raise DimensionError(f"need {count} {what}, got {values.size}")
+    if not np.isfinite(values).all():
+        raise ConfigError("measurement value must be finite")
+    return values
 
 
 def _solve_stokes(launch_set: LaunchSet, dev) -> np.ndarray:
@@ -576,16 +557,13 @@ def _solve_stokes(launch_set: LaunchSet, dev) -> np.ndarray:
         raise SingularSetError("stokes coefficient matrix is singular") from exc
 
 
-def reconstruct_md(launch_set: LaunchSet, records, tau0: float) -> np.ndarray:
-    """Delay vector from one delay record per launch, via a linear solve.
+def reconstruct_md(launch_set: LaunchSet, delays, tau0: float) -> np.ndarray:
+    """Delay vector from one delay (s) per launch, via a linear solve.
 
     The scaled delays 2 c_n^2 (tau_g - tau0) form the right-hand side of
     S x = b with S the set's Stokes coefficient matrix; no inverse is formed.
     """
-    values = _record_values(records)
-    if values.shape != (launch_set.m,):
-        raise DimensionError(
-            f"need {launch_set.m} records, got {values.shape[0]}")
+    values = _readings(delays, launch_set.m, "records")
     return _solve_stokes(launch_set, values - tau0)
 
 
@@ -595,11 +573,25 @@ def scaled_delay_variance(rx: ReceiverModel, n: int) -> float:
     return (2.0 * c * c) ** 2 * rx.delay_variance
 
 
-# noise values drawn per block, so memory stays flat in the trial count
 _DRAW_BLOCK = 1 << 20
 # SeedSequence drops trailing zero words: rng_for(seed) is rng_for(seed, 0),
-# which builds a fiber's unitary, so the noise draws from a stream of its own
-_NOISE_STREAM = 303
+# which builds a fiber's unitary, so each Monte Carlo draws its noise from a
+# stream of its own
+_NOISE_STREAM, _ATTENUATION_STREAM = 303, 505
+
+
+def _in_trial_order(draw, trials: int, width: int,
+                    draws_per_trial: int) -> np.ndarray:
+    """(trials, width) readouts from draw(rows), called on consecutive blocks
+    of trials of at most _DRAW_BLOCK noise values each: memory stays flat in
+    the trial count, and the first t trials do not depend on the run length.
+    """
+    block = max(1, _DRAW_BLOCK // draws_per_trial)
+    reads = np.empty((trials, width))
+    for first in range(0, trials, block):
+        last = min(first + block, trials)
+        reads[first:last] = draw(last - first)
+    return reads
 
 
 def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
@@ -623,15 +615,12 @@ def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
         raise ConfigError("monte_carlo_md needs a noisy receiver")
     delays, gain, sigma = _readout(f, launch_set.states, rx, mode)
     rng = rng_for(seed, _NOISE_STREAM)
-    block = max(1, _DRAW_BLOCK // gain.size)
-    reads = np.empty((trials, launch_set.m))
-    for first in range(0, trials, block):
-        last = min(first + block, trials)
-        reads[first:last] = _noisy_reads(delays, gain, sigma, rng,
-                                         last - first)
+    reads = _in_trial_order(
+        lambda rows: _noisy_reads(delays, gain, sigma, rng, rows),
+        trials, launch_set.m, gain.size)
     errors = _solve_stokes(launch_set, (reads - f.tau0).T).T - f.md_vector
     # a non-finite delay makes its trial's error row non-finite, so one
-    # check applies the finiteness rule of MeasurementRecord
+    # check applies the finiteness rule of reconstruct_md
     if not np.all(np.isfinite(errors)):
         raise ConfigError("measurement value must be finite")
     sq = np.einsum("tm,tm->t", errors, errors)
@@ -659,8 +648,8 @@ def measure_attenuation(f: FiberModel, state, rel_noise: float = 0.0,
     meter with that relative accuracy.
     """
     state = _launch_state(f, state)
-    if rel_noise < 0:
-        raise ConfigError("rel_noise must be non-negative")
+    if not 0.0 <= rel_noise < math.inf:
+        raise ConfigError("rel_noise must be finite and non-negative")
     p2 = f.loss_matrix(squared=True)
     value = float(np.real(state.conj() @ p2 @ state))
     if rel_noise > 0:
@@ -672,9 +661,9 @@ def measure_attenuation(f: FiberModel, state, rel_noise: float = 0.0,
 
 def mdl_parameters(f: FiberModel) -> tuple[float, np.ndarray]:
     """True (alpha0, gamma) of the fiber's P^2 in its Stokes expansion."""
-    e = expand_matrix(f.loss_matrix(squared=True))
-    alpha0 = float(e.scalar.real)
-    return alpha0, e.vector.real / alpha0
+    scalar, vector = expand_matrix(f.loss_matrix(squared=True))
+    alpha0 = float(scalar.real)
+    return alpha0, vector.real / alpha0
 
 
 def predicted_attenuation(alpha0: float, gamma, state) -> float:
@@ -687,7 +676,7 @@ def predicted_attenuation(alpha0: float, gamma, state) -> float:
 
 
 def reconstruct_mdl(launch_set: LaunchSet, simplex: SimplexSet,
-                    set_records, simplex_records) -> MdlEstimate:
+                    set_values, simplex_values) -> MdlEstimate:
     """Loss parameters from attenuation readings of set and simplex.
 
     alpha0 is the simplex mean (the orthonormal Stokes images sum to zero),
@@ -696,20 +685,14 @@ def reconstruct_mdl(launch_set: LaunchSet, simplex: SimplexSet,
     is not positive definite means the records were too noisy to describe
     any physical loss element.
     """
-    set_values = _record_values(set_records)
-    simplex_values = _record_values(simplex_records)
-    if set_values.shape != (launch_set.m,):
-        raise DimensionError(
-            f"need {launch_set.m} set records, got {set_values.shape[0]}")
-    if simplex_values.shape != (simplex.n,):
-        raise DimensionError(
-            f"need {simplex.n} simplex records, got {simplex_values.shape[0]}")
+    set_values = _readings(set_values, launch_set.m, "set records")
+    simplex_values = _readings(simplex_values, simplex.n, "simplex records")
     alpha0 = float(np.mean(simplex_values))
     if alpha0 <= 0:
         raise EstimationFailedError(
             f"mean attenuation must be positive, got {alpha0}")
     gamma = _solve_stokes(launch_set, set_values / alpha0 - 1.0)
-    p2 = alpha0 * _expansion(launch_set.n, 1.0, gamma)
+    p2 = alpha0 * assemble(launch_set.n, 1.0, gamma)
     evals = np.linalg.eigvalsh(p2)
     if evals[0] <= 0:
         raise EstimationFailedError(
@@ -718,9 +701,63 @@ def reconstruct_mdl(launch_set: LaunchSet, simplex: SimplexSet,
                        mdl_ratio=float(evals[-1] / evals[0]))
 
 
+def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
+                    rel_noise: float, trials: int, seed: int = 0) -> dict:
+    """Repeat the loss measurement and tabulate the errors.
+
+    A trial reads each launch of the set, then each simplex state, as
+    a (1 + rel_noise z): a is the clean measure_attenuation reading and z is
+    standard normal, drawn from one stream of seed in trial order and in
+    bounded blocks, so the first t trials do not depend on the run length.
+    reconstruct_mdl estimates each trial; the first trial that no physical
+    loss fits raises EstimationFailedError.
+
+    Returns the true alpha0, the per-trial squared gamma errors, estimated
+    alpha0 and mdl_ratio, their means, and the first-order prediction of
+    the gamma MSE, (2 c_n^2)^2 Tr(S^-1 C S^-T).  C is the covariance of
+    v / alpha0_hat - 1, rel_noise^2 (diag(r^2) + r r^T sum(b^2) / (n alpha0)^2),
+    with r = a / alpha0 over the set and b the clean simplex readings.
+    """
+    if trials < 1:
+        raise ConfigError("trials must be at least 1")
+    if not 0.0 <= rel_noise < math.inf:
+        raise ConfigError("rel_noise must be finite and non-negative")
+    m = launch_set.m
+    clean = np.array([measure_attenuation(f, s) for s in
+                      (*launch_set.states, *simplex.states)])
+    rng = rng_for(seed, _ATTENUATION_STREAM)
+    reads = _in_trial_order(
+        lambda rows: clean * (1.0 + rng.normal(0.0, rel_noise,
+                                               (rows, clean.size))),
+        trials, clean.size, clean.size)
+    estimates = [reconstruct_mdl(launch_set, simplex, row[:m], row[m:])
+                 for row in reads]
+
+    alpha0_true, gamma_true = mdl_parameters(f)
+    sq = np.array([np.sum((e.gamma - gamma_true) ** 2) for e in estimates])
+    alpha0 = np.array([e.alpha0 for e in estimates])
+    ratio = np.array([e.mdl_ratio for e in estimates])
+    # C = R R^T with R = rel_noise [diag(r) | spread r], so the predicted
+    # trace is the squared Frobenius norm of 2 c_n^2 S^-1 R
+    r = clean[:m] / alpha0_true
+    spread = math.sqrt(clean[m:] @ clean[m:]) / (f.n * alpha0_true)
+    root = _solve_stokes(launch_set,
+                         rel_noise * np.column_stack([np.diag(r), spread * r]))
+    return {
+        "alpha0_true": alpha0_true,
+        "gamma_sq_errors": sq,
+        "alpha0": alpha0,
+        "mdl_ratio": ratio,
+        "gamma_mse": float(sum(sq) / trials),
+        "alpha0_mse": float(sum((alpha0 - alpha0_true) ** 2) / trials),
+        "mdl_ratio_mean": float(sum(ratio) / trials),
+        "predicted_gamma_mse": float(np.sum(root * root)),
+    }
+
+
 def loss_matrix_from_estimate(est: MdlEstimate) -> np.ndarray:
     """Principal square root P of the estimate's P^2."""
-    p2 = est.alpha0 * _expansion(est.n, 1.0, est.gamma)
+    p2 = est.alpha0 * assemble(est.n, 1.0, est.gamma)
     evals, vecs = np.linalg.eigh(p2)
     if evals[0] <= 0:
         raise EstimationFailedError(
@@ -758,7 +795,7 @@ def compose_gd_operator(n: int, tau0: float, md_vector, loss=None,
     numerically singular the routine falls back to a Schur form and flags
     the result as defective.
     """
-    gen = _expansion(n, tau0, np.asarray(md_vector, dtype=float))
+    gen = assemble(n, tau0, md_vector)
     if loss is None:
         composed = gen
     else:
@@ -766,7 +803,7 @@ def compose_gd_operator(n: int, tau0: float, md_vector, loss=None,
         composed = np.linalg.solve(loss, gen @ loss)
         if loss_omega is not None:
             composed = composed + 1j * np.linalg.solve(loss, loss_omega)
-    e = expand_matrix(composed)
+    chi0, chi_vector = expand_matrix(composed)
     vals, vecs = np.linalg.eig(composed)
     defective = False
     with np.errstate(all="ignore"):
@@ -777,8 +814,7 @@ def compose_gd_operator(n: int, tau0: float, md_vector, loss=None,
         vecs = zmat
         defective = True
     order = np.argsort(vals.real, kind="stable")
-    return ComplexGdOperator(n=n, chi0=complex(e.scalar),
-                             chi_vector=e.vector,
+    return ComplexGdOperator(n=n, chi0=chi0, chi_vector=chi_vector,
                              dmgds=vals.real[order],
                              pms=np.ascontiguousarray(vecs[:, order].T),
                              defective=defective)

@@ -51,7 +51,6 @@ __all__ = [
     "jones_to_stokes_batch",
     "stokes_dot_from_jones",
     "projection_operator",
-    "HermitianExpansion",
     "expand_matrix",
     "assemble",
     "angles_to_states",
@@ -196,30 +195,13 @@ def projection_operator(s) -> np.ndarray:
     return np.eye(n) / n + acc / (2.0 * norm_coeff(n))
 
 
-@dataclass(frozen=True)
-class HermitianExpansion:
-    """Coefficients of M = scalar * I + (1/(2 c_n)) vector . L.
-
-    Both parts are complex so arbitrary (not just Hermitian) matrices expand
-    exactly; Hermitian input yields real coefficients up to roundoff.
-    """
-
-    n: int
-    scalar: complex
-    vector: np.ndarray
-
-    def is_hermitian_like(self, tol: float = 1e-12) -> bool:
-        """True when the coefficients are real to within tol."""
-        return (abs(self.scalar.imag) <= tol
-                and float(np.max(np.abs(self.vector.imag), initial=0.0)) <= tol)
-
-
-def expand_matrix(m) -> HermitianExpansion:
+def expand_matrix(m) -> tuple[complex, np.ndarray]:
     """Expand an (n, n) matrix over {I, L_i} with the delay-operator scaling.
 
-    The vector part carries the same normalization as the group-delay
-    operator, i.e. M = scalar * I + (1/(2 c_n)) sum_i vector_i L_i, so that a
-    mode-dispersion vector can be read off directly.
+    Returns (scalar, vector) with M = scalar * I + (1/(2 c_n)) vector . L, so
+    that a mode-dispersion vector can be read off directly.  Both parts are
+    complex, so arbitrary (not just Hermitian) matrices expand exactly;
+    Hermitian input yields real coefficients up to roundoff.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -231,18 +213,17 @@ def expand_matrix(m) -> HermitianExpansion:
     scalar = np.trace(m) / n
     # Tr(M L_i) = vector_i / c_n under the normalization above
     traces = np.einsum("iab,ba->i", b.matrices, m)
-    return HermitianExpansion(n=n, scalar=complex(scalar),
-                              vector=norm_coeff(n) * traces)
+    return complex(scalar), norm_coeff(n) * traces
 
 
-def assemble(e: HermitianExpansion) -> np.ndarray:
-    """Inverse of expand_matrix."""
-    b = gell_mann_basis(e.n)
-    vec = np.asarray(e.vector, dtype=complex)
+def assemble(n: int, scalar, vector) -> np.ndarray:
+    """The matrix scalar * I + vector . L / (2 c_n); inverse of expand_matrix."""
+    b = gell_mann_basis(n)
+    vec = np.asarray(vector, dtype=complex)
     if vec.shape != (b.dim,):
         raise DimensionError(f"vector part has shape {vec.shape}, expected ({b.dim},)")
     acc = np.tensordot(vec, b.matrices, axes=(0, 0))
-    return e.scalar * np.eye(e.n) + acc / (2.0 * norm_coeff(e.n))
+    return complex(scalar) * np.eye(n) + acc / (2.0 * norm_coeff(n))
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ class OptimizerRun:
     converged: bool
     aborted: bool
     stop_reason: str
-    trajectory: np.ndarray  # (k, 3) columns: iteration, cost, gradient norm
+    trajectory: np.ndarray  # (iterations_used + 1, 3): iteration, cost, grad norm
 
 
 @dataclass
@@ -217,8 +217,7 @@ def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> Optimi
     initial_xi = _cost_only(np.array(initial.states, dtype=complex), n)
     res = spheres.projected_descent(
         cost_fn, grad_fn, point0,
-        grad_tol=1e-9 * m, max_iters=config.max_iters,
-        log_stride=max(1, config.max_iters // 2000), on_spheres=on_spheres)
+        grad_tol=1e-9 * m, max_iters=config.max_iters, on_spheres=on_spheres)
 
     if on_spheres:
         final_states = res.states
@@ -240,7 +239,7 @@ def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> Optimi
         initial_xi=initial_xi, final_xi=res.cost, grad_norm=res.grad_norm,
         iterations_used=res.iterations, phase1_iters=0,
         converged=res.converged, aborted=res.aborted,
-        stop_reason=res.stop_reason, trajectory=res.log.as_array())
+        stop_reason=res.stop_reason, trajectory=res.trajectory)
 
 
 def jitter_set(s: LaunchSet, scale: float = 1e-6, seed: int = 0) -> LaunchSet:

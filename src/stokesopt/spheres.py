@@ -13,7 +13,7 @@ fixed module constants below.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "normalize_rows",
     "tangent_project",
     "armijo_step",
-    "DescentLog",
     "DescentResult",
     "projected_descent",
 ]
@@ -94,22 +93,6 @@ def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
 
 
 @dataclass
-class DescentLog:
-    """Decimated per-iteration samples (iteration, cost, gradient norm)."""
-
-    stride: int = 1
-    rows: list = field(default_factory=list)
-
-    def record(self, iteration: int, cost: float, grad_norm: float,
-               force: bool = False):
-        if force or iteration % self.stride == 0:
-            self.rows.append((iteration, cost, grad_norm))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=float).reshape(-1, 3)
-
-
-@dataclass
 class DescentResult:
     states: np.ndarray
     cost: float
@@ -117,7 +100,7 @@ class DescentResult:
     iterations: int
     converged: bool
     aborted: bool
-    log: DescentLog
+    trajectory: np.ndarray  # (iterations + 1, 3): iteration, cost, grad norm
     stop_reason: str
 
 
@@ -127,7 +110,6 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
                       *,
                       grad_tol: float,
                       max_iters: int,
-                      log_stride: int,
                       on_spheres: bool,
                       ) -> DescentResult:
     """L-BFGS descent searched by `armijo_step` from _FIRST_STEP.
@@ -151,12 +133,11 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
     # identity in the chart, so the probe memo sees the very array it probed
     retract = normalize_rows if on_spheres else (lambda point: point)
     states = retract(np.array(states0))
-    log = DescentLog(stride=log_stride)
     f, g = grad_fn(states)
     gnorm = float(np.linalg.norm(g))
-    log.record(0, f, gnorm, force=True)
+    log = [(0, f, gnorm)]
 
-    pairs, costs = [], [f]
+    pairs = []
     it = 0
     stop_reason = "max_iters"
 
@@ -190,14 +171,16 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
         if np.vdot(*pairs[-1]).real <= 0.0:
             pairs.pop()
         del pairs[:-_MEMORY]
-        log.record(it, f, gnorm)
-        costs.append(f)
-        if it >= _WINDOW and costs[it - _WINDOW] - f <= _DROP * f:
+        log.append((it, f, gnorm))
+        if it >= _WINDOW and log[it - _WINDOW][1] - f <= _DROP * f:
             stop_reason = "converged"
             break
 
-    log.record(it, f, gnorm, force=True)
+    if len(log) == it:
+        # a stalled line search or a singular iterate ends iteration it
+        log.append((it, f, gnorm))
     return DescentResult(states=states, cost=f, grad_norm=gnorm, iterations=it,
                          converged=stop_reason == "converged",
-                         aborted=stop_reason == "singular_iterate", log=log,
+                         aborted=stop_reason == "singular_iterate",
+                         trajectory=np.array(log, dtype=float),
                          stop_reason=stop_reason)

@@ -406,6 +406,7 @@ def test_simulate_mdl_noiseless_is_exact(capsys):
     assert math.isclose(doc["mdl_ratio_mean"], doc["mdl_ratio_true"],
                         rel_tol=1e-10)
     assert math.isclose(doc["mdl_ratio_true"], math.exp(0.3), rel_tol=1e-10)
+    assert doc["predicted_gamma_mse"] == 0.0
     _, header, rows = read_csv("mt.csv")
     assert header == "trial,gamma_sq_error,alpha0,mdl_ratio"
     assert len(rows) == 1
@@ -460,6 +461,16 @@ def test_simulate_input_errors(capsys):
                                   **{key: value}))
         assert run_cli("simulate", "--scenario", "inf.json") == 4
         assert f"{key} must be finite" in capsys.readouterr().err
+    assert run_cli("gen-set", "--family", "mub", "--n", "2",
+                   "--out", "mub2.json") == 0
+    for value in (math.nan, math.inf):
+        capsys.readouterr()
+        write_scenario("noise.json", **dict(SCENARIOS["mdl"],
+                                            attenuation_rel_noise=value))
+        assert run_cli("simulate", "--scenario", "noise.json",
+                       "--out", "noise_out.json") == 2
+        assert "rel_noise must be finite" in capsys.readouterr().err
+        assert not os.path.exists("noise_out.json")
 
 
 LOSSY_FIBER = dict(TWO_MODE_FIBER, unitary_seed=2, pa_coeffs=[0.1, 0.4],

@@ -102,17 +102,17 @@ def test_two_mode_eigen_delays_split_symmetrically():
 
 def test_delay_operator_expansion_round_trip():
     f = random_fiber(4, seed=3)
-    e = expand_matrix(fsim.delay_operator(f))
-    assert abs(e.scalar - f.tau0) < 1e-24
-    assert np.allclose(e.vector.real, f.md_vector, atol=1e-24)
-    assert np.max(np.abs(e.vector.imag)) < 1e-24
+    scalar, vector = expand_matrix(fsim.delay_operator(f))
+    assert abs(scalar - f.tau0) < 1e-24
+    assert np.allclose(vector.real, f.md_vector, atol=1e-24)
+    assert np.max(np.abs(vector.imag)) < 1e-24
 
 
 def test_numeric_extraction_round_trips_generator():
     f = random_fiber(3, seed=11)
-    e = fsim.numeric_gd_expansion(f, 1e6)
-    assert abs(e.scalar.real - f.tau0) / f.tau0 < 1e-8
-    rel = (np.linalg.norm(e.vector.real - f.md_vector)
+    scalar, vector = fsim.numeric_gd_expansion(f, 1e6)
+    assert abs(scalar.real - f.tau0) / f.tau0 < 1e-8
+    rel = (np.linalg.norm(vector.real - f.md_vector)
            / np.linalg.norm(f.md_vector))
     assert rel < 1e-8
     with pytest.raises(ConfigError):
@@ -188,13 +188,16 @@ def test_delay_variance_formula():
     assert clean_receiver().delay_variance == 0.0
 
 
-def test_measurement_record_validation():
-    with pytest.raises(ConfigError, match="kind"):
-        fsim.MeasurementRecord(0, 1.0, "power", "analytic")
-    with pytest.raises(ConfigError, match="mode"):
-        fsim.MeasurementRecord(0, 1.0, "delay", "fourier")
-    with pytest.raises(ConfigError, match="finite"):
-        fsim.MeasurementRecord(0, math.nan, "delay", "analytic")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_reconstruction_rejects_non_finite_readings(bad):
+    ls = random_set(2, seed=1)
+    sx = simplex_set(2)
+    with pytest.raises(ConfigError, match="measurement value must be finite"):
+        fsim.reconstruct_md(ls, [0.0, bad, 0.0], 0.0)
+    with pytest.raises(ConfigError, match="measurement value must be finite"):
+        fsim.reconstruct_mdl(ls, sx, [1.0, 1.0, bad], [1.0, 1.0])
+    with pytest.raises(ConfigError, match="measurement value must be finite"):
+        fsim.reconstruct_mdl(ls, sx, [1.0, 1.0, 1.0], [bad, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +208,9 @@ def test_aligned_two_mode_delay():
     dtau = 2 * PS
     f = fsim.FiberModel(2, tau0=PS, md_vector=np.array([0.0, 0.0, dtau]),
                         base_unitary=np.eye(2))
-    rec = fsim.measure_delay(f, np.array([1.0, 0.0]), clean_receiver())
-    assert math.isclose(rec.value, PS + dtau / 2, rel_tol=1e-14)
-    assert rec.kind == "delay" and rec.mode == "analytic" and rec.seed is None
+    delay = fsim.measure_delay(f, np.array([1.0, 0.0]), clean_receiver())
+    assert math.isclose(delay, PS + dtau / 2, rel_tol=1e-14)
+    assert type(delay) is float
 
 
 def test_waveform_matches_analytic_narrowband():
@@ -218,8 +221,8 @@ def test_waveform_matches_analytic_narrowband():
         for trial in range(17):
             f = random_fiber(n, seed=100 * n + trial)
             s = unit_state(rng_for(50, n, trial), n)
-            wave = fsim.measure_delay(f, s, rx, mode="waveform").value
-            ana = fsim.measure_delay(f, s, rx, mode="analytic").value
+            wave = fsim.measure_delay(f, s, rx, mode="waveform")
+            ana = fsim.measure_delay(f, s, rx, mode="analytic")
             assert abs(wave - ana) / abs(ana) < 1e-3
             count += 1
     assert count >= 50
@@ -229,8 +232,8 @@ def test_waveform_resolves_tenth_picosecond():
     rx = clean_receiver()
     f = fsim.FiberModel(2, tau0=0.0, md_vector=np.array([0.0, 0.0, 0.2 * PS]),
                         base_unitary=np.eye(2))
-    rec = fsim.measure_delay(f, np.array([1.0, 0.0]), rx, mode="waveform")
-    assert abs(rec.value - 0.1 * PS) / (0.1 * PS) < 0.01
+    delay = fsim.measure_delay(f, np.array([1.0, 0.0]), rx, mode="waveform")
+    assert abs(delay - 0.1 * PS) / (0.1 * PS) < 0.01
 
 
 def test_waveform_window_captures_pulse_energy():
@@ -261,7 +264,7 @@ def test_noisy_analytic_variance_matches_closed_form():
     f = fsim.FiberModel(2, tau0=PS, md_vector=np.array([0.0, 0.0, 2 * PS]),
                         base_unitary=np.eye(2))
     s = np.array([1.0, 0.0])
-    vals = np.array([fsim.measure_delay(f, s, rx, "analytic", (7, k)).value
+    vals = np.array([fsim.measure_delay(f, s, rx, "analytic", (7, k))
                      for k in range(100_000)])
     assert abs(vals.var() / rx.delay_variance - 1.0) < 0.03
     assert abs(vals.mean() - 2 * PS) < 3 * math.sqrt(
@@ -281,7 +284,7 @@ def test_noisy_waveform_variance_matches_weighted_sum():
     exact = rx.sample_noise_variance * float(np.sum((w * t) ** 2)) / energy_win ** 2
     # discrete quadrature weights inflate the continuum variance slightly
     assert 1.0 < exact / rx.delay_variance < 1.05
-    vals = np.array([fsim.measure_delay(f, s, rx, "waveform", (9, k)).value
+    vals = np.array([fsim.measure_delay(f, s, rx, "waveform", (9, k))
                      for k in range(20_000)])
     assert abs(vals.var() / exact - 1.0) < 0.05
 
@@ -330,14 +333,13 @@ def test_noiseless_reconstruction_round_trips(n):
     f = random_fiber(n, seed=31 + n)
     ls = random_set(n, seed=7)
     rx = clean_receiver()
-    records = [fsim.measure_delay(f, s, rx, launch_index=i)
-               for i, s in enumerate(ls.states)]
-    recovered = fsim.reconstruct_md(ls, records, f.tau0)
+    delays = [fsim.measure_delay(f, s, rx) for s in ls.states]
+    recovered = fsim.reconstruct_md(ls, delays, f.tau0)
     rel = (np.linalg.norm(recovered - f.md_vector)
            / np.linalg.norm(f.md_vector))
     assert rel < 1e-10
-    # plain floats are accepted in place of records
-    again = fsim.reconstruct_md(ls, [r.value for r in records], f.tau0)
+    # an array of the same readings gives the same solve
+    again = fsim.reconstruct_md(ls, np.array(delays), f.tau0)
     assert np.array_equal(recovered, again)
 
 
@@ -437,7 +439,7 @@ def _waveform_reference_reads(f, states, rx, rng, rows):
     clean = dataclasses.replace(rx, noise_psd=0.0)
     t, w = rx.time_grid(), rx.quadrature_weights()
     sigma = math.sqrt(rx.sample_noise_variance)
-    delays = [fsim.measure_delay(f, s, clean, "waveform").value
+    delays = [fsim.measure_delay(f, s, clean, "waveform")
               for s in states]
     pulses = [_noiseless_pulse(f, s, rx) for s in states]
     energies = [w @ pulse for pulse in pulses]
@@ -604,6 +606,84 @@ def test_noisy_mdl_favors_low_amplification_set():
     assert mse_yang > 1.2 * mse_opt
 
 
+def _mdl_scene(n=4):
+    f = fsim.synth_mdl_fiber(n, np.linspace(0.05, 0.5, n), z=1.2, seed=3)
+    return f, simplex_set(n, seed=2)
+
+
+def test_monte_carlo_mdl_matches_per_trial_reference():
+    f, sx = _mdl_scene()
+    ls = bundled_optimal_set()
+    out = fsim.monte_carlo_mdl(f, ls, sx, 1e-2, 40, seed=6)
+    _, gamma_true = fsim.mdl_parameters(f)
+    # each reading in trial order, launches then simplex, from one stream
+    rng = rng_for(6, fsim._ATTENUATION_STREAM)
+    ref = {"gamma_sq_errors": [], "alpha0": [], "mdl_ratio": []}
+    for _ in range(40):
+        setv = [fsim.measure_attenuation(f, s) * (1.0 + rng.normal(0.0, 1e-2))
+                for s in ls.states]
+        sxv = [fsim.measure_attenuation(f, s) * (1.0 + rng.normal(0.0, 1e-2))
+               for s in sx.states]
+        est = fsim.reconstruct_mdl(ls, sx, setv, sxv)
+        ref["gamma_sq_errors"].append(np.sum((est.gamma - gamma_true) ** 2))
+        ref["alpha0"].append(est.alpha0)
+        ref["mdl_ratio"].append(est.mdl_ratio)
+    for key, want in ref.items():
+        np.testing.assert_allclose(out[key], want, rtol=1e-12, atol=0,
+                                   err_msg=key)
+    assert out["gamma_mse"] == pytest.approx(np.mean(ref["gamma_sq_errors"]),
+                                             rel=1e-12)
+
+
+def test_monte_carlo_mdl_prefix_and_blocks(monkeypatch):
+    f, sx = _mdl_scene()
+    ls = bundled_optimal_set()
+
+    def run(trials):
+        out = fsim.monte_carlo_mdl(f, ls, sx, 1e-2, trials, seed=4)
+        return np.column_stack([out["gamma_sq_errors"], out["alpha0"],
+                                out["mdl_ratio"]])
+
+    long = run(77)
+    np.testing.assert_array_equal(long[:9], run(9))
+    with monkeypatch.context() as patch:
+        patch.setattr(fsim, "_DRAW_BLOCK", 1)
+        np.testing.assert_array_equal(run(77), long)
+
+
+def test_noiseless_monte_carlo_mdl_is_reconstruct_mdl():
+    f, sx = _mdl_scene(3)
+    ls = random_set(3, seed=4)
+    est = fsim.reconstruct_mdl(
+        ls, sx, [fsim.measure_attenuation(f, s) for s in ls.states],
+        [fsim.measure_attenuation(f, s) for s in sx.states])
+    out = fsim.monte_carlo_mdl(f, ls, sx, 0.0, 3, seed=1)
+    _, gamma_true = fsim.mdl_parameters(f)
+    assert out["gamma_sq_errors"].tolist() == [
+        np.sum((est.gamma - gamma_true) ** 2)] * 3
+    assert out["alpha0"].tolist() == [est.alpha0] * 3
+    assert out["mdl_ratio"].tolist() == [est.mdl_ratio] * 3
+    assert out["predicted_gamma_mse"] == 0.0
+
+
+def test_monte_carlo_mdl_matches_closed_form_prediction():
+    f, sx = _mdl_scene()
+    predicted = {}
+    for name, ls in (("optimized", bundled_optimal_set()),
+                     ("yang", yang_nolan(4))):
+        out = fsim.monte_carlo_mdl(f, ls, sx, 1e-3, 5000, seed=0)
+        ratio = out["gamma_mse"] / out["predicted_gamma_mse"]
+        assert abs(ratio - 1.0) < 0.05, (name, ratio)
+        predicted[name] = out["predicted_gamma_mse"]
+    assert predicted["yang"] > predicted["optimized"]
+
+
+def test_monte_carlo_mdl_raises_on_the_first_unphysical_trial():
+    f, sx = _mdl_scene(2)
+    with pytest.raises(EstimationFailedError, match="positive"):
+        fsim.monte_carlo_mdl(f, mub_set(2), sx, 0.9, 50, seed=1)
+
+
 def test_mdl_reconstruction_failure_modes():
     ls = random_set(2, seed=1)
     sx = simplex_set(2)
@@ -627,8 +707,15 @@ def test_mdl_estimate_and_attenuation_validation():
     f = random_fiber(2, seed=1)
     with pytest.raises(ConfigError, match="seed"):
         fsim.measure_attenuation(f, np.array([1.0, 0.0]), rel_noise=0.1)
-    with pytest.raises(ConfigError, match="rel_noise"):
-        fsim.measure_attenuation(f, np.array([1.0, 0.0]), rel_noise=-0.1)
+    sx = simplex_set(2)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="rel_noise"):
+            fsim.measure_attenuation(f, np.array([1.0, 0.0]), rel_noise=bad,
+                                     seed=1)
+        with pytest.raises(ConfigError, match="rel_noise"):
+            fsim.monte_carlo_mdl(f, mub_set(2), sx, bad, 4)
+    with pytest.raises(ConfigError, match="trials"):
+        fsim.monte_carlo_mdl(f, mub_set(2), sx, 0.1, 0)
     with pytest.raises(ConfigError, match="non-negative"):
         fsim.synth_mdl_fiber(2, np.array([-0.1, 0.2]), z=1.0)
 

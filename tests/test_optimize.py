@@ -17,7 +17,6 @@ from stokesopt.gellmann import angles_to_states, states_to_angles
 from stokesopt.metrics import cost, metrics, _inverse_factor
 from stokesopt.optimize import (
     OptimizerConfig,
-    OptimizerRun,
     cost_and_gradient,
     descend,
     gradient_check,
@@ -39,12 +38,6 @@ from stokesopt.sets import (
     yang_nolan,
 )
 from stokesopt.seeding import rng_for
-
-
-def _phase2_costs(run: OptimizerRun) -> np.ndarray:
-    """Logged costs after the fixed-step phase (accepted Armijo steps)."""
-    t = run.trajectory
-    return t[t[:, 0] >= run.phase1_iters, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +153,22 @@ def test_descent_invariants_and_trajectory():
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
         assert run.final_set.family == "optimized"
         assert run.trajectory.shape[1] == 3
-        costs = _phase2_costs(run)
-        assert np.all(np.diff(costs) <= 1e-12)
+        np.testing.assert_array_equal(run.trajectory[:, 0],
+                                      np.arange(run.iterations_used + 1))
+        assert np.all(np.diff(run.trajectory[:, 1]) <= 1e-12)
+
+
+def test_trajectory_logs_each_iteration_once():
+    capped = descend(random_set(3, seed=8),
+                     OptimizerConfig(algorithm="projected", max_iters=5))
+    assert capped.stop_reason == "max_iters"
+    np.testing.assert_array_equal(capped.trajectory[:, 0], np.arange(6))
+    # a probe cost that never falls stalls the first line search
+    stalled = spheres.projected_descent(
+        lambda x: 1e9, lambda x: (float(x @ x), 2.0 * x), np.ones(3),
+        grad_tol=0.0, max_iters=50, on_spheres=False)
+    assert stalled.stop_reason == "line_search_stall"
+    np.testing.assert_array_equal(stalled.trajectory[:, 0], [0, 1])
 
 
 def test_descent_converges_from_nearly_singular_start():
