@@ -25,7 +25,6 @@ from .errors import (
     StokesOptError,
 )
 from .gellmann import (
-    GellMannBasis,
     assemble,
     expand_matrix,
     gell_mann_basis,

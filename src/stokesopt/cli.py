@@ -4,9 +4,12 @@ sweeps and fiber simulation, wired for reproducible file output.
 Every command is a pure function of its flags, input files and seed.  Rerun
 the same invocation and every written file comes back byte for byte, with
 one exception: the manifest JSON that sits next to each output records the
-timestamp and wall time of the run that produced it.  Output files point
-back at their manifest (JSON outputs through a meta field, CSVs through a
-leading comment line), and the manifest lists every path the run wrote.
+timestamp and wall time of the run that produced it.  Each command names
+its manifest once, from its main output (STEM.manifest.json for `optimize`);
+output files point back at it (JSON outputs through a meta field, CSVs
+through a leading comment line), and it lists exactly the paths the run
+wrote.  A failed `optimize` search still writes STEM_starts.csv, one row per
+start, and a manifest that lists only that file.
 
 Scenario files for `simulate` are JSON objects:
 
@@ -21,9 +24,13 @@ Scenario files for `simulate` are JSON objects:
     simplex_seed  seed of the orthonormal common-mode basis (default: seed)
     domega        detuning for the composed-operator check (joint, default 1.0)
 
-Exit codes: 0 success, 2 bad flags or configuration, 3 numeric failure
-(singular set, failed search or estimation), 4 unreadable or malformed
-input file.
+A joint run divides its three delay errors (tau0, md_vector, DMGDs) by one
+scale, the largest |DMGD| of the direct model, so a fiber without
+common-mode delay reports a rounding-sized tau0 error, not a quotient by 0.
+
+Exit codes (`_EXIT_CODES`): 0 success, 2 bad flags or configuration, 3
+numeric failure (singular set, failed search or estimation), 4 unreadable
+or malformed input file, or any other OS error such as an unwritable output.
 """
 from __future__ import annotations
 
@@ -133,10 +140,10 @@ def _manifest_path(first_output: str) -> str:
     return stem + ".manifest.json"
 
 
-def _write_manifest(args, outputs, started: float) -> str:
+def _write_manifest(args, path: str, outputs, started: float) -> None:
+    """The run's manifest at `path`, listing `outputs`, the files it wrote."""
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "command")}
-    path = _manifest_path(str(outputs[0]))
     _write_json(path, {
         "command": args.command,
         "config": config,
@@ -146,7 +153,6 @@ def _write_manifest(args, outputs, started: float) -> str:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(p) for p in outputs],
     })
-    return path
 
 
 def _print_summary(info: dict) -> None:
@@ -173,7 +179,8 @@ def _build_family(family: str, n: int, seed: int, tol: float) -> LaunchSet:
 def cmd_gen_set(args) -> int:
     started = time.time()
     out = args.out or f"{args.family}_n{args.n}.json"
-    manifest_name = Path(_manifest_path(out)).name
+    manifest = _manifest_path(out)
+    manifest_name = Path(manifest).name
     if args.family == "simplex":
         sx = simplex_set(args.n, seed=args.seed)
         _write_json(out, {
@@ -193,7 +200,7 @@ def cmd_gen_set(args) -> int:
                    "xi": mt.xi, "penalty_db": mt.penalty_db, "out": out}
         if "residual" in s.meta:
             summary["residual"] = s.meta["residual"]
-    _write_manifest(args, [out], started)
+    _write_manifest(args, manifest, [out], started)
     _print_summary(summary)
     return 0
 
@@ -244,30 +251,32 @@ def cmd_optimize(args) -> int:
     set_path = stem + ".json"
     starts_path = stem + "_starts.csv"
     traj_path = stem + "_trajectory.csv"
-    manifest_name = Path(_manifest_path(set_path)).name
+    manifest = _manifest_path(set_path)
+    manifest_name = Path(manifest).name
     config = OptimizerConfig(algorithm=args.algo, max_iters=args.max_iter,
                              seed=args.seed)
-
-    if args.init == "random":
-        try:
-            result = multi_start(args.n, starts=args.starts, config=config,
-                                 workers=_cli_workers())
-        except SearchFailedError:
-            _write_manifest(args, [set_path], started)
-            raise
-        runs, best_index = result.runs, result.best_index
-    else:
+    if args.init != "random":
         initial = _initial_for(args.init, args.n, args.seed, args.tol)
         # family constructions can start exactly on a stationary point
         initial = jitter_set(initial, scale=1e-6, seed=args.seed)
-        run = descend(initial, config)
-        runs, best_index = [run], 0
-        if run.aborted:
-            _write_csv(starts_path, manifest_name, _STARTS_HEADER,
-                       _starts_rows(runs))
-            _write_manifest(args, [starts_path], started)
-            raise SearchFailedError(
-                f"descent from init {args.init!r} aborted: {run.stop_reason}")
+
+    try:
+        if args.init == "random":
+            result = multi_start(args.n, starts=args.starts, config=config,
+                                 workers=_cli_workers())
+            runs, best_index = result.runs, result.best_index
+        else:
+            runs, best_index = [descend(initial, config)], 0
+            if runs[0].aborted:
+                raise SearchFailedError(
+                    f"descent from init {args.init!r} aborted: "
+                    f"{runs[0].stop_reason}", diagnostics=runs)
+    except SearchFailedError as exc:
+        # a failed search still reports every start it ran
+        _write_csv(starts_path, manifest_name, _STARTS_HEADER,
+                   _starts_rows(exc.diagnostics))
+        _write_manifest(args, manifest, [starts_path], started)
+        raise
 
     best = runs[best_index]
     best_set = best.final_set
@@ -277,7 +286,8 @@ def cmd_optimize(args) -> int:
     _write_csv(traj_path, manifest_name, "iteration,xi,grad_norm",
                [[str(int(it)), _fmt(xi), _fmt(gn)]
                 for it, xi, gn in best.trajectory])
-    _write_manifest(args, [set_path, starts_path, traj_path], started)
+    _write_manifest(args, manifest, [set_path, starts_path, traj_path],
+                    started)
     mt = metrics(best_set)
     _print_summary({
         "algorithm": args.algo, "n": args.n, "init": args.init,
@@ -343,7 +353,7 @@ def cmd_sweep(args) -> int:
                 f"unknown sweep family {fam!r}, pick from {SWEEP_FAMILIES}")
     ns = _parse_n_list(args.n_list)
     out = args.out or "sweep.csv"
-    manifest_name = Path(_manifest_path(out)).name
+    manifest = _manifest_path(out)
 
     rows, skipped = [], []
     for fam in families:
@@ -356,9 +366,9 @@ def cmd_sweep(args) -> int:
             mt = _sweep_metrics(fam, n, args.seed, args.tol)
             rows.append([str(n), fam, _fmt(mt.xi), _fmt(mt.penalty_db),
                          _fmt(mt.condition_number), _fmt(mt.log_volume)])
-    _write_csv(out, manifest_name,
+    _write_csv(out, Path(manifest).name,
                "n,family,xi,penalty_db,condition_number,log_volume", rows)
-    _write_manifest(args, [out], started)
+    _write_manifest(args, manifest, [out], started)
     _print_summary({"rows": len(rows), "skipped": skipped, "out": out})
     return 0
 
@@ -426,11 +436,9 @@ def _launch_set_from(doc: dict, scenario_path: Path, where: str) -> LaunchSet:
     return _load_set_checked(path)
 
 
-def _simulate_md(doc, fiber, scenario_path, where, args):
-    ls = _launch_set_from(doc, scenario_path, where)
+def _simulate_md(doc, fiber, ls, seed, where):
     rx = _receiver_from(doc, where)
     trials = _scenario_field(doc, "trials", int, where)
-    seed = _seed_field(doc, "seed", where, 0)
     measurement = doc.get("measurement", "analytic")
     res = fibersim.monte_carlo_md(fiber, ls, rx, trials, seed=seed,
                                   mode=measurement)
@@ -447,10 +455,8 @@ def _simulate_md(doc, fiber, scenario_path, where, args):
     return summary, ("trial,sq_error", trial_rows)
 
 
-def _simulate_mdl(doc, fiber, scenario_path, where, args):
-    ls = _launch_set_from(doc, scenario_path, where)
+def _simulate_mdl(doc, fiber, ls, seed, where):
     trials = _scenario_field(doc, "trials", int, where)
-    seed = _seed_field(doc, "seed", where, 0)
     rel_noise = _scenario_field(doc, "attenuation_rel_noise", float, where,
                                 0.0)
     sx = simplex_set(fiber.n, seed=_seed_field(doc, "simplex_seed", where,
@@ -477,10 +483,8 @@ def _simulate_mdl(doc, fiber, scenario_path, where, args):
 _TAU0_STREAM, _DELAY_STREAM = 401, 402
 
 
-def _simulate_joint(doc, fiber, scenario_path, where, args):
-    ls = _launch_set_from(doc, scenario_path, where)
+def _simulate_joint(doc, fiber, ls, seed, where):
     rx = _receiver_from(doc, where)
-    seed = _seed_field(doc, "seed", where, 0)
     domega = _scenario_field(doc, "domega", float, where, 1.0)
     sx = simplex_set(fiber.n, seed=_seed_field(doc, "simplex_seed", where,
                                                seed))
@@ -501,23 +505,22 @@ def _simulate_joint(doc, fiber, scenario_path, where, args):
     composed = fibersim.compose_gd_operator(
         fiber.n, tau0_est, md_est, fibersim.loss_matrix_from_estimate(est))
     direct = fibersim.full_gd_operator(fiber, domega)
+    # one delay scale for every delay error: the largest direct |DMGD|
     scale = max(float(np.max(np.abs(direct.dmgds))), 1e-300)
-    deviation = float(np.max(np.abs(composed.dmgds - direct.dmgds)) / scale)
-    alpha0_true, gamma_true = fibersim.mdl_parameters(fiber)
-    md_scale = max(float(np.max(np.abs(fiber.md_vector))), 1e-300)
+    _, gamma_true = fibersim.mdl_parameters(fiber)
     summary = {
         "mode": "joint", "n": fiber.n, "domega": domega,
         "set_family": ls.family,
         "equalizer_unitarity": unitarity,
-        "tau0_rel_error":
-            abs(tau0_est - fiber.tau0) / max(abs(fiber.tau0), 1e-300),
+        "tau0_rel_error": abs(tau0_est - fiber.tau0) / scale,
         "md_max_rel_error":
-            float(np.max(np.abs(md_est - fiber.md_vector))) / md_scale,
+            float(np.max(np.abs(md_est - fiber.md_vector))) / scale,
         "gamma_max_abs_error":
             float(np.max(np.abs(est.gamma - gamma_true))),
         "dmgds_direct": [float(v) for v in direct.dmgds],
         "dmgds_composed": [float(v) for v in composed.dmgds],
-        "dmgd_max_rel_deviation": deviation,
+        "dmgd_max_rel_deviation":
+            float(np.max(np.abs(composed.dmgds - direct.dmgds)) / scale),
         "defective": bool(direct.defective),
     }
     return summary, None
@@ -534,11 +537,13 @@ def cmd_simulate(args) -> int:
     if mode not in runners:
         raise _InputError(f"{where}: mode must be one of {sorted(runners)}")
     fiber = _fiber_from(doc, where)
+    ls = _launch_set_from(doc, scenario_path, where)
+    seed = _seed_field(doc, "seed", where, 0)
     out = args.out or scenario_path.stem + "_results.json"
-    manifest_name = Path(_manifest_path(out)).name
+    manifest = _manifest_path(out)
+    manifest_name = Path(manifest).name
 
-    summary, trial_table = runners[mode](doc, fiber, scenario_path, where,
-                                         args)
+    summary, trial_table = runners[mode](doc, fiber, ls, seed, where)
     summary["manifest"] = manifest_name
     outputs = [out]
     if args.trials_out and trial_table is not None:
@@ -546,7 +551,7 @@ def cmd_simulate(args) -> int:
         _write_csv(args.trials_out, manifest_name, header, rows)
         outputs.append(args.trials_out)
     _write_json(out, summary)
-    _write_manifest(args, outputs, started)
+    _write_manifest(args, manifest, outputs, started)
     _print_summary(summary)
     return 0
 
@@ -642,22 +647,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the module docstring's exit codes; no class here subclasses another
+_EXIT_CODES = {
+    _InputError: 4, OSError: 4,
+    ConfigError: 2, DimensionError: 2,
+    SingularSetError: 3, SearchFailedError: 3, EstimationFailedError: 3,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ConfigError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SingularSetError, SearchFailedError, EstimationFailedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ is supplied.  Nonlinearity and distributed mode coupling are out of scope.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -354,12 +353,8 @@ def synth_mdl_fiber(n: int, pa_coeffs, z: float, seed: int = 0,
     come from an independent substream.
     """
     a = np.asarray(pa_coeffs, dtype=float)
-    if a.shape != (n,):
-        raise DimensionError(f"pa_coeffs must have shape ({n},)")
     if np.any(a < 0):
         raise ConfigError("attenuation rates must be non-negative")
-    if not (np.isfinite(z) and z >= 0):
-        raise ConfigError("fiber length must be non-negative")
     if md_vector is None:
         md_vector = np.zeros(n * n - 1)
     u = haar_unitary(n, rng_for(seed, 0))
@@ -428,15 +423,6 @@ def _launch_state(f: FiberModel, state) -> np.ndarray:
     return state
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_gain(k: int) -> np.ndarray:
-    """Read-only (k, 1) ones, the analytic noise gain, built once per k:
-    np.ones is a measurable share of one analytic measure_delay call."""
-    gain = np.ones((k, 1))
-    gain.flags.writeable = False
-    return gain
-
-
 def _readout(f: FiberModel, states: np.ndarray, rx: ReceiverModel,
              mode: str) -> tuple[np.ndarray, np.ndarray, float]:
     """(delays, gain, sigma) of unit launches `states` (k, n): launch i
@@ -451,7 +437,7 @@ def _readout(f: FiberModel, states: np.ndarray, rx: ReceiverModel,
     if mode not in DELAY_MODES:
         raise ConfigError(f"mode must be one of {DELAY_MODES}, got {mode!r}")
     if mode == "analytic":
-        return (group_delay(f, states), _unit_gain(len(states)),
+        return (group_delay(f, states), np.ones((len(states), 1)),
                 math.sqrt(rx.delay_variance))
     t = rx.time_grid()
     weights = rx.quadrature_weights()

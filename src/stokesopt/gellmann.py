@@ -36,7 +36,6 @@ whole chart API.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,7 +44,6 @@ from .errors import DimensionError
 
 __all__ = [
     "norm_coeff",
-    "GellMannBasis",
     "gell_mann_basis",
     "jones_to_stokes",
     "jones_to_stokes_batch",
@@ -66,29 +64,8 @@ def norm_coeff(n: int) -> float:
     return np.sqrt(n / (2.0 * (n - 1)))
 
 
-@dataclass(frozen=True)
-class GellMannBasis:
-    """The n^2-1 generalized Gell-Mann matrices in the frozen ordering.
-
-    Attributes
-    ----------
-    n : int
-        Mode count (n >= 2).
-    matrices : ndarray, shape (n^2-1, n, n), complex
-        Stacked basis matrices, read-only.
-    """
-
-    n: int
-    matrices: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        """Stokes-space dimension n^2 - 1."""
-        return self.n * self.n - 1
-
-
 @lru_cache(maxsize=32)
-def _basis_cached(n: int) -> GellMannBasis:
+def _basis_cached(n: int) -> np.ndarray:
     m = n * n - 1
     stack = np.zeros((m, n, n), dtype=complex)
     idx = 0
@@ -108,11 +85,12 @@ def _basis_cached(n: int) -> GellMannBasis:
         stack[idx, np.arange(n), np.arange(n)] = d * np.sqrt(2.0 / (l * (l + 1)))
         idx += 1
     stack.setflags(write=False)
-    return GellMannBasis(n=n, matrices=stack)
+    return stack
 
 
-def gell_mann_basis(n: int) -> GellMannBasis:
-    """Return the cached basis for n modes.
+def gell_mann_basis(n: int) -> np.ndarray:
+    """The n^2-1 generalized Gell-Mann matrices in the frozen ordering: the
+    cached, read-only (n^2-1, n, n) complex stack for n modes.
 
     Raises
     ------
@@ -157,10 +135,10 @@ def jones_to_stokes_batch(states) -> np.ndarray:
     if st.ndim != 2:
         raise DimensionError(f"expected (m, n) state stack, got shape {st.shape}")
     n = st.shape[1]
-    b = gell_mann_basis(n)
+    basis = gell_mann_basis(n)
     # <s|L_i|s> = sum_ab s*_a (L_i)_ab s_b; one GEMM for the whole stack
     outer = st.conj()[:, :, None] * st[:, None, :]
-    flat = b.matrices.reshape(b.dim, n * n)
+    flat = basis.reshape(len(basis), n * n)
     vals = outer.reshape(-1, n * n) @ flat.T
     return norm_coeff(n) * vals.real
 
@@ -189,9 +167,8 @@ def projection_operator(s) -> np.ndarray:
     """
     s = _as_state(s)
     n = s.shape[0]
-    b = gell_mann_basis(n)
     shat = jones_to_stokes(s)
-    acc = np.tensordot(shat, b.matrices, axes=(0, 0))
+    acc = np.tensordot(shat, gell_mann_basis(n), axes=(0, 0))
     return np.eye(n) / n + acc / (2.0 * norm_coeff(n))
 
 
@@ -209,20 +186,20 @@ def expand_matrix(m) -> tuple[complex, np.ndarray]:
     n = m.shape[0]
     if n < 2:
         raise DimensionError("need at least 2 modes")
-    b = gell_mann_basis(n)
     scalar = np.trace(m) / n
     # Tr(M L_i) = vector_i / c_n under the normalization above
-    traces = np.einsum("iab,ba->i", b.matrices, m)
+    traces = np.einsum("iab,ba->i", gell_mann_basis(n), m)
     return complex(scalar), norm_coeff(n) * traces
 
 
 def assemble(n: int, scalar, vector) -> np.ndarray:
     """The matrix scalar * I + vector . L / (2 c_n); inverse of expand_matrix."""
-    b = gell_mann_basis(n)
+    basis = gell_mann_basis(n)
     vec = np.asarray(vector, dtype=complex)
-    if vec.shape != (b.dim,):
-        raise DimensionError(f"vector part has shape {vec.shape}, expected ({b.dim},)")
-    acc = np.tensordot(vec, b.matrices, axes=(0, 0))
+    if vec.shape != (len(basis),):
+        raise DimensionError(
+            f"vector part has shape {vec.shape}, expected ({len(basis)},)")
+    acc = np.tensordot(vec, basis, axes=(0, 0))
     return complex(scalar) * np.eye(n) + acc / (2.0 * norm_coeff(n))
 
 

@@ -283,7 +283,8 @@ def multi_start(n: int, starts: int = 8,
     Raises
     ------
     SearchFailedError
-        When every start aborted on a singular iterate.
+        When every start aborted on a singular iterate; its `diagnostics`
+        holds every run.
     """
     if starts < 1:
         raise ConfigError("starts must be at least 1")
@@ -303,7 +304,8 @@ def multi_start(n: int, starts: int = 8,
             best_index = i
     if best_index is None:
         raise SearchFailedError(
-            f"all {starts} starts aborted on singular iterates for n={n}")
+            f"all {starts} starts aborted on singular iterates for n={n}",
+            diagnostics=runs)
     return MultiStartResult(runs=runs, best_index=best_index)
 
 
@@ -312,9 +314,9 @@ def gradient_check(n: int, algorithm: str = "projected", trials: int = 3,
     """Largest relative error between the analytic gradient and a central
     finite difference of the cost, over `trials` random nonsingular sets.
 
-    The projected check differentiates the off-sphere cost extension entry
-    by entry against the full gradient; the hyperspherical check perturbs
-    each angle of the chart.
+    The projected check differentiates the off-sphere cost extension
+    against the full gradient, each state entry as a (re, im) pair; the
+    hyperspherical check perturbs each angle of the chart.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(
@@ -323,27 +325,19 @@ def gradient_check(n: int, algorithm: str = "projected", trials: int = 3,
     for trial in range(trials):
         states = random_set(n, seed=seed + trial).states
         if algorithm == "projected":
+            point, to_states = states, (lambda p: p)
             _, an = cost_and_gradient(states, n)
-            fd = np.empty_like(an)
-            for idx in np.ndindex(states.shape):
-                bump = np.zeros_like(states)
-                bump[idx] = h
-                re = (_cost_only(states + bump, n)
-                      - _cost_only(states - bump, n)) / (2 * h)
-                bump[idx] = 1j * h
-                im = (_cost_only(states + bump, n)
-                      - _cost_only(states - bump, n)) / (2 * h)
-                fd[idx] = re + 1j * im
         else:
-            angles = states_to_angles(states)
-            _, an = gradient_hyperspherical(angles, n)
-            fd = np.empty_like(an)
-            for idx in np.ndindex(angles.shape):
-                bump = np.zeros_like(angles)
-                bump[idx] = h
-                fd[idx] = (_cost_only(angles_to_states(angles + bump), n)
-                           - _cost_only(angles_to_states(angles - bump), n)
-                           ) / (2 * h)
+            point, to_states = states_to_angles(states), angles_to_states
+            _, an = gradient_hyperspherical(point, n)
+        reals = point.view(float)
+        cost_at = lambda r: _cost_only(to_states(r.view(point.dtype)), n)
+        fd = np.empty_like(reals)
+        for idx in np.ndindex(reals.shape):
+            bump = np.zeros_like(reals)
+            bump[idx] = h
+            fd[idx] = (cost_at(reals + bump) - cost_at(reals - bump)) / (2 * h)
+        fd = fd.view(point.dtype)
         err = float(np.linalg.norm(fd - an) / max(np.linalg.norm(an), 1e-300))
         worst = max(worst, err)
     return worst

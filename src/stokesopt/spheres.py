@@ -51,12 +51,11 @@ def armijo_step(cost_fn: Callable[[np.ndarray], float],
                 f0: float,
                 direction: np.ndarray,
                 slope: float,
-                t0: float,
                 retract: Callable[[np.ndarray], np.ndarray],
                 ) -> tuple[float, np.ndarray | None, float]:
     """Backtracking line search along `direction` with retraction.
 
-    Accepts the first t = t0 * _BACKTRACK_FACTOR^k with
+    Accepts the first t = _FIRST_STEP * _BACKTRACK_FACTOR^k with
     f(retract(x + t d)) <= f0 + _ARMIJO_FRACTION * t * slope (slope is the
     directional derivative, negative for a descent direction).
 
@@ -66,7 +65,7 @@ def armijo_step(cost_fn: Callable[[np.ndarray], float],
     exists above the step floor.  An accepted new_states is the very array
     passed to the last cost_fn call, so a cost_fn may keep work for it.
     """
-    t = t0
+    t = _FIRST_STEP
     while t > _STEP_FLOOR:
         trial = retract(states + t * direction)
         ft = cost_fn(trial)
@@ -152,7 +151,7 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
             pairs.clear()
             direction, slope = -g, -gnorm * gnorm
         _, trial, ft = armijo_step(cost_fn, states, f, direction, slope,
-                                   _FIRST_STEP, retract)
+                                   retract)
         if trial is None:
             stop_reason = "line_search_stall"
             break

@@ -35,11 +35,11 @@ def random_unit_states(rng, count, n):
 @pytest.mark.parametrize("n", ALL_N)
 def test_basis_orthonormality_traceless_hermitian(n):
     b = gell_mann_basis(n)
-    assert b.dim == n * n - 1
-    flat = b.matrices.reshape(b.dim, -1)
+    assert len(b) == n * n - 1
+    flat = b.reshape(len(b), -1)
     overlaps = (flat.conj() @ flat.T).real
-    assert np.max(np.abs(overlaps - 2.0 * np.eye(b.dim))) < 1e-12
-    for lam in b.matrices:
+    assert np.max(np.abs(overlaps - 2.0 * np.eye(len(b)))) < 1e-12
+    for lam in b:
         assert abs(np.trace(lam)) < 1e-12
         assert np.max(np.abs(lam - lam.conj().T)) < 1e-12
 
@@ -49,9 +49,9 @@ def test_basis_n2_is_pauli_triple():
     s1 = np.array([[0, 1], [1, 0]], dtype=complex)
     s2 = np.array([[0, -1j], [1j, 0]])
     s3 = np.array([[1, 0], [0, -1]], dtype=complex)
-    assert np.array_equal(b.matrices[0], s1)
-    assert np.array_equal(b.matrices[1], s2)
-    assert np.array_equal(b.matrices[2], s3)
+    assert np.array_equal(b[0], s1)
+    assert np.array_equal(b[1], s2)
+    assert np.array_equal(b[2], s3)
 
 
 def test_basis_ordering_families():
@@ -60,11 +60,11 @@ def test_basis_ordering_families():
     b = gell_mann_basis(n)
     npairs = n * (n - 1) // 2
     for i in range(npairs):
-        assert np.max(np.abs(b.matrices[i].imag)) == 0.0
+        assert np.max(np.abs(b[i].imag)) == 0.0
     for i in range(npairs, 2 * npairs):
-        assert np.max(np.abs(b.matrices[i].real)) == 0.0
-    for i in range(2 * npairs, b.dim):
-        off = b.matrices[i] - np.diag(np.diag(b.matrices[i]))
+        assert np.max(np.abs(b[i].real)) == 0.0
+    for i in range(2 * npairs, len(b)):
+        off = b[i] - np.diag(np.diag(b[i]))
         assert np.max(np.abs(off)) == 0.0
 
 
@@ -73,7 +73,7 @@ def test_basis_completeness_relation(n):
     # sum_i (L_i)_{ab} (L_i)_{cd} = 2 (delta_ad delta_bc - delta_ab delta_cd / n);
     # this identity is what collapses Stokes dots to Jones overlaps
     b = gell_mann_basis(n)
-    lhs = np.einsum("iab,icd->abcd", b.matrices, b.matrices)
+    lhs = np.einsum("iab,icd->abcd", b, b)
     eye = np.eye(n)
     rhs = 2.0 * (np.einsum("ad,bc->abcd", eye, eye)
                  - np.einsum("ab,cd->abcd", eye, eye) / n)
