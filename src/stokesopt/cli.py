@@ -25,8 +25,10 @@ Scenario files for `simulate` are JSON objects:
     domega        detuning for the composed-operator check (joint, default 1.0)
 
 A joint run divides its three delay errors (tau0, md_vector, DMGDs) by one
-scale, the largest |DMGD| of the direct model, so a fiber without
-common-mode delay reports a rounding-sized tau0 error, not a quotient by 0.
+scale, the largest |DMGD| of the direct model or the receiver's delay
+resolution sqrt(delay_variance), whichever is larger, so a fiber without
+common-mode delay reports a rounding-sized tau0 error, not a quotient by 0,
+and receiver noise on a fiber without any delay reads in units of itself.
 
 Exit codes (`_EXIT_CODES`): 0 success, 2 bad flags or configuration, 3
 numeric failure (singular set, failed search or estimation), 4 unreadable
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -505,8 +508,10 @@ def _simulate_joint(doc, fiber, ls, seed, where):
     composed = fibersim.compose_gd_operator(
         fiber.n, tau0_est, md_est, fibersim.loss_matrix_from_estimate(est))
     direct = fibersim.full_gd_operator(fiber, domega)
-    # one delay scale for every delay error: the largest direct |DMGD|
-    scale = max(float(np.max(np.abs(direct.dmgds))), 1e-300)
+    # one delay scale for every delay error: the largest direct |DMGD|, or
+    # the receiver's delay resolution when the fiber has no delay spread
+    scale = max(float(np.max(np.abs(direct.dmgds))),
+                math.sqrt(rx.delay_variance), 1e-300)
     _, gamma_true = fibersim.mdl_parameters(fiber)
     summary = {
         "mode": "joint", "n": fiber.n, "domega": domega,

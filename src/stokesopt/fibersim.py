@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import polar, schur
 
 from .errors import (
     ConfigError,
@@ -754,16 +753,18 @@ def loss_matrix_from_estimate(est: MdlEstimate) -> np.ndarray:
 def equalize(f: FiberModel, est: MdlEstimate) -> FiberModel:
     """Undo the estimated loss: lossless model with unitary part H P_hat^-1.
 
-    The right division is re-unitarized by a polar decomposition, so a noisy
-    estimate still yields a valid model; the polar factor it discards is
-    exactly the residual mismatch between true and estimated loss.
+    The right division W is re-unitarized by its polar factor U V^H (from the
+    SVD W = U Sigma V^H), so a noisy estimate still yields a valid model; the
+    Hermitian factor V Sigma V^H it discards is exactly the residual mismatch
+    between true and estimated loss.
     """
     if est.n != f.n:
         raise DimensionError(f"estimate has {est.n} modes, fiber has {f.n}")
     p_hat = loss_matrix_from_estimate(est)
     h = f.transfer_matrix(0.0)
     w = np.linalg.solve(p_hat.T, h.T).T
-    u_eq, _ = polar(w)
+    u, _, vh = np.linalg.svd(w, full_matrices=False)
+    u_eq = u @ vh
     return FiberModel(n=f.n, tau0=f.tau0, md_vector=f.md_vector,
                       base_unitary=u_eq)
 
@@ -795,6 +796,9 @@ def compose_gd_operator(n: int, tau0: float, md_vector, loss=None,
     with np.errstate(all="ignore"):
         cond = np.linalg.cond(vecs)
     if not np.isfinite(cond) or cond > 1e8:
+        # imported here so that no other path loads SciPy
+        from scipy.linalg import schur
+
         tmat, zmat = schur(composed, output="complex")
         vals = np.diag(tmat)
         vecs = zmat

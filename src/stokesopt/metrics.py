@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import ConfigError, DimensionError, SingularSetError
 from .sets import COND_LIMIT, LaunchSet, _gram_condition, gram_from_states
@@ -62,13 +62,46 @@ def gram(s: LaunchSet) -> np.ndarray:
     return gram_from_states(s.states, s.n)
 
 
+# blocks this size or smaller are inverted whole by np.linalg.inv; larger
+# ones split in two, so the bulk of the work is matmul
+_LEAF = 64
+
+
+@lru_cache(maxsize=None)
+def _lower_mask(m: int) -> np.ndarray:
+    mask = np.tri(m, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix, exactly lower triangular.
+
+    Blocked: with L = [[A, 0], [C, D]], L^-1 = [[A^-1, 0], [-D^-1 C A^-1,
+    D^-1]].  LU pivoting in np.linalg.inv leaves rounding (about 1e-15)
+    above the diagonal of a leaf block, which the mask sets back to 0.
+    """
+    m = low.shape[0]
+    if m <= _LEAF:
+        inv = np.linalg.inv(low)
+        inv *= _lower_mask(m)
+        return inv
+    h = m // 2
+    a_inv = _lower_inverse(low[:h, :h])
+    d_inv = _lower_inverse(low[h:, h:])
+    inv = np.zeros_like(low)
+    inv[:h, :h] = a_inv
+    inv[h:, h:] = d_inv
+    inv[h:, :h] = -(d_inv @ (low[h:, :h] @ a_inv))
+    return inv
+
+
 def _inverse_factor(g: np.ndarray) -> np.ndarray:
     """The one Tr(G^-1) kernel: L^-1 for the lower Cholesky factor L of a
-    real Gram G = L L^T, by direct LAPACK potrf and trtri calls.
+    real Gram G = L L^T, by np.linalg.cholesky and `_lower_inverse`.
 
-    potrf zeroes the strict upper triangle (clean=1), which trtri passes
-    through, so L^-1 is exactly lower triangular: xi = ||L^-1||_F^2 (`_xi`)
-    and G^-1 = L^-T L^-1.  Shared by the metrics and the optimizer loop (no
+    L^-1 is exactly lower triangular: xi = ||L^-1||_F^2 (`_xi`) and
+    G^-1 = L^-T L^-1.  Shared by the metrics and the optimizer loop (no
     explicit condition check).
 
     Raises
@@ -76,18 +109,16 @@ def _inverse_factor(g: np.ndarray) -> np.ndarray:
     SingularSetError
         When G is not numerically positive definite.
     """
-    c, info = dpotrf(g, lower=1, clean=1)
-    if info > 0:
-        raise SingularSetError(
-            f"Gram matrix is not positive definite: {info}-th leading minor "
-            "of the array is not positive definite")
-    linv, _ = dtrtri(c, lower=1)
-    return linv
+    try:
+        return _lower_inverse(np.linalg.cholesky(g))
+    except np.linalg.LinAlgError:
+        raise SingularSetError("Gram matrix is not positive definite") from None
 
 
 def _xi(linv: np.ndarray) -> float:
     """Tr(G^-1) = ||L^-1||_F^2 from the factor `_inverse_factor` returns."""
-    return float(np.sum(linv * linv))
+    flat = linv.ravel("K")
+    return float(flat @ flat)
 
 
 def _check_conditioning(lam: np.ndarray) -> None:

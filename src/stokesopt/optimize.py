@@ -15,8 +15,8 @@ algorithms then project or chain-rule that gradient into their own
 coordinates.
 
 Every cost and gradient goes through the one kernel of `metrics`, the
-inverse Cholesky factor L^-1 of that Gram (LAPACK potrf then trtri), with
-xi = ||L^-1||_F^2, so the optimizer and `metrics` agree to the last bit.
+inverse Cholesky factor L^-1 of that Gram (numpy Cholesky, then a blocked
+triangular inverse), with xi = ||L^-1||_F^2, so the optimizer and `metrics` agree to the last bit.
 Inside `descend` the line-search probes keep L^-1 of their latest probe: the
 gradient after an accepted Armijo step is taken at that very point and
 reuses it, so each iteration factorizes once per probe and never again for

@@ -127,6 +127,31 @@ def test_sic_search_runs_in_a_child_without_scipy_optimize(child_env):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_no_command_loads_scipy(child_env):
+    # SciPy serves only the Schur fallback of a defective composed operator,
+    # which none of these commands reaches
+    scenario = {"mode": "md", "seed": 3, "trials": 200,
+                "launch_set": "mub3.json", "receiver": NOISY_RECEIVER,
+                "fiber": {"n": 3, "tau0": 5e-12, "md_vector": [1e-12] * 8,
+                          "unitary_seed": 1}}
+    write_scenario("md.json", **scenario)
+    code = ("import sys, importlib.resources\n"
+            "import stokesopt, stokesopt.cli\n"
+            "data = importlib.resources.files('stokesopt') / 'data'\n"
+            "for argv in (['evaluate', '--set', str(data / 'optimal_n4.json')],\n"
+            "             ['gen-set', '--family', 'mub', '--n', '3',\n"
+            "              '--out', 'mub3.json'],\n"
+            "             ['sweep', '--families',\n"
+            "              'yang,mub,random,sic-analytic,mub-analytic',\n"
+            "              '--n-list', '2-4'],\n"
+            "             ['simulate', '--scenario', 'md.json']):\n"
+            "    assert stokesopt.cli.main(argv) == 0, argv\n"
+            "assert 'scipy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_gen_set_random_roundtrips():
     assert run_cli("gen-set", "--family", "random", "--n", "2",
                    "--seed", "9") == 0
@@ -411,6 +436,18 @@ def test_simulate_joint_reports_operator_agreement(capsys):
     assert all(doc[key] < 1e-10 for key in keys)
     doc = read_json("still_r.json")
     assert all(doc[key] == 0.0 for key in keys)
+
+    # the still fiber through a noisy receiver: with no DMGD to scale by, the
+    # errors are in units of the receiver's delay resolution, not of a
+    # 1e-300 s floor
+    write_scenario("noisy.json", mode="joint", seed=0, domega=1e6,
+                   launch_set="set3.json",
+                   fiber=dict(fiber, tau0=0.0, md_vector=[0.0] * 8),
+                   receiver=NOISY_RECEIVER)
+    assert run_cli("simulate", "--scenario", "noisy.json",
+                   "--out", "noisy_r.json") == 0
+    doc = read_json("noisy_r.json")
+    assert all(0.0 < doc[key] < 100.0 for key in keys)
 
 
 def test_simulate_joint_noisy_receiver_reruns_byte_identical(capsys):

@@ -569,6 +569,28 @@ def test_noiseless_mdl_round_trip_and_equalization():
     assert eq.pa_coeffs is None
 
 
+def test_equalize_keeps_the_polar_factor_of_a_noisy_estimate():
+    # with a noisy loss estimate the right division W is not unitary;
+    # equalize keeps its unitary polar factor, checked against scipy's polar
+    from scipy.linalg import polar
+
+    f = fsim.synth_mdl_fiber(3, np.array([0.05, 0.3, 0.6]), z=1.5, seed=11)
+    ls = random_set(3, seed=4)
+    sx = simplex_set(3)
+    est = fsim.reconstruct_mdl(
+        ls, sx,
+        [fsim.measure_attenuation(f, s, 1e-2, (1, i))
+         for i, s in enumerate(ls.states)],
+        [fsim.measure_attenuation(f, s, 1e-2, (2, i))
+         for i, s in enumerate(sx.states)])
+    p_hat = fsim.loss_matrix_from_estimate(est)
+    w = np.linalg.solve(p_hat.T, f.transfer_matrix().T).T
+    assert np.max(np.abs(w.conj().T @ w - np.eye(3))) > 1e-4
+    u = fsim.equalize(f, est).base_unitary
+    assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-14
+    assert np.max(np.abs(u - polar(w)[0])) < 1e-13
+
+
 def test_zero_mdl_equalization_is_identity():
     f = random_fiber(3, seed=41)
     ls = random_set(3, seed=5)

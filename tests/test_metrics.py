@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dtrtri
 
 from stokesopt.errors import ConfigError, DimensionError, SingularSetError
 from stokesopt.metrics import (
@@ -175,34 +173,27 @@ def test_penalty_db_values():
                                rtol=1e-15)
 
 
-def test_xi_cholesky_matches_cho_factor_route_bitwise():
-    # the direct potrf call is the one cho_factor makes, so L^-1 and xi
-    # equal trtri of cho_factor's factor (upper part zeroed) to the bit
-    for n, seed in ((2, 1), (4, 2), (7, 3)):
-        s = random_set(n, seed=seed)
-        g = gram(s)
-        c, lower = cho_factor(g, lower=True, check_finite=False)
-        ref, info = dtrtri(np.tril(c), lower=1)
-        assert info == 0
-        linv = _inverse_factor(g)
-        assert linv.tobytes() == ref.tobytes()
-        assert _xi(linv) == float(np.sum(ref * ref)) == metrics(s).xi
-    with pytest.raises(SingularSetError, match="not positive definite"):
-        _inverse_factor(-np.eye(3))
-
-
-def test_inverse_factor_matches_cho_solve_reference():
-    # reference G^-1 from scipy's cho_factor/cho_solve against I (a route
-    # the package does not use).  Tolerance: 1e-13 relative on xi and
-    # 1e-13 * max|G^-1| on each entry of L^-T L^-1; the largest misses
-    # measured for these sets (cond(G) up to 7e4) are 3.5e-16 and 9.1e-16.
-    for n in range(2, 9):
-        g = gram(random_set(n, seed=n))
-        ref = cho_solve(cho_factor(g, lower=True), np.eye(g.shape[0]))
-        linv = _inverse_factor(g)
-        assert not np.any(np.triu(linv, 1))  # potrf must clean the upper part
-        np.testing.assert_allclose(_xi(linv), np.trace(ref), rtol=1e-13)
-        np.testing.assert_allclose(linv.T @ linv, ref, rtol=0,
-                                   atol=1e-13 * np.abs(ref).max())
+def test_inverse_factor_matches_mpmath_reference(mp_inverse,
+                                                 lapack_inverse_factor):
+    # xi and G^-1 = L^-T L^-1 against a 40-digit inverse of the same float
+    # Gram.  Bounds, met by the package kernel and by LAPACK potrf/trtri
+    # alike: |xi - ref| <= k eps cond(G) ref with k = 1, and every entry of
+    # G^-1 within k eps cond(G) max|G^-1| with k = 4.  The largest k
+    # measured over these 24 sets (cond(G) up to 3.6e5) is 0.23 and 1.07.
+    eps = np.finfo(float).eps
+    for n in range(2, 6):
+        for seed in range(6):
+            s = random_set(n, seed=seed)
+            g = gram(s)
+            ref = mp_inverse(g)
+            ref_xi = math.fsum(np.diag(ref))
+            cond = np.linalg.cond(g)
+            linv = _inverse_factor(g)
+            assert not np.any(np.triu(linv, 1))
+            assert _xi(linv) == metrics(s).xi
+            for factor in (linv, lapack_inverse_factor(g)):
+                assert abs(_xi(factor) - ref_xi) <= eps * cond * ref_xi
+                assert (np.abs(factor.T @ factor - ref).max()
+                        <= 4.0 * eps * cond * np.abs(ref).max()), (n, seed)
     with pytest.raises(SingularSetError, match="not positive definite"):
         _inverse_factor(-np.eye(3))
