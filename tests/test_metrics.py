@@ -173,6 +173,54 @@ def test_penalty_db_values():
                                rtol=1e-15)
 
 
+def test_xi_cholesky_matches_cho_factor_route_bitwise(lapack_inverse_factor):
+    # cho_factor then trtri, the LAPACK route, is the second subject of the
+    # mpmath test below: the fixture is that route to the bit.  The package
+    # kernel factors with numpy instead, so it is held to the route within
+    # k eps cond(G) (k = 1 on each entry of L^-1 against max|L^-1| and on
+    # xi; the largest k measured over 36 random sets, n = 2..7, is 0.13),
+    # and to metrics' xi to the bit
+    from scipy.linalg import cho_factor
+    from scipy.linalg.lapack import dtrtri
+
+    eps = np.finfo(float).eps
+    for n, seed in ((2, 1), (4, 2), (7, 3)):
+        s = random_set(n, seed=seed)
+        g = gram(s)
+        c, _ = cho_factor(g, lower=True, check_finite=False)
+        ref, info = dtrtri(np.tril(c), lower=1)
+        assert info == 0
+        assert lapack_inverse_factor(g).tobytes() == ref.tobytes()
+        bound = eps * np.linalg.cond(g)
+        linv = _inverse_factor(g)
+        assert not np.any(np.triu(linv, 1))
+        assert np.abs(linv - ref).max() <= bound * np.abs(ref).max()
+        assert abs(_xi(linv) - _xi(ref)) <= bound * _xi(ref)
+        assert _xi(linv) == metrics(s).xi
+    with pytest.raises(SingularSetError, match="not positive definite"):
+        _inverse_factor(-np.eye(3))
+
+
+def test_inverse_factor_matches_cho_solve_reference():
+    # the inversion step alone: G^-1 from scipy's cho_solve against I on the
+    # kernel's own Cholesky factor (triangular solves, a route the package
+    # does not use) against L^-T L^-1.  Factor accuracy is the mpmath
+    # test's.  Tolerance: 1e-13 relative on xi and 1e-13 * max|G^-1| on
+    # each entry; n = 9, 10 (m = 80, 99) take the blocked recursion past
+    # one leaf.  The largest misses measured (cond(G) up to 6.6e4) are
+    # 4.0e-16 and 1.0e-15.
+    from scipy.linalg import cho_solve
+
+    for n in range(2, 11):
+        g = gram(random_set(n, seed=n))
+        ref = cho_solve((np.linalg.cholesky(g), True), np.eye(g.shape[0]))
+        linv = _inverse_factor(g)
+        assert not np.any(np.triu(linv, 1))
+        np.testing.assert_allclose(_xi(linv), np.trace(ref), rtol=1e-13)
+        np.testing.assert_allclose(linv.T @ linv, ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+
+
 def test_inverse_factor_matches_mpmath_reference(mp_inverse,
                                                  lapack_inverse_factor):
     # xi and G^-1 = L^-T L^-1 against a 40-digit inverse of the same float

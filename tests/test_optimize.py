@@ -12,7 +12,7 @@ import pytest
 from stokesopt import gellmann, optimize, spheres
 from stokesopt.errors import ConfigError, SingularSetError
 from stokesopt.gellmann import angles_to_states, states_to_angles
-from stokesopt.metrics import cost, metrics, _inverse_factor
+from stokesopt.metrics import cost, metrics, _inverse_factor, _xi
 from stokesopt.optimize import (
     OptimizerConfig,
     cost_and_gradient,
@@ -314,6 +314,32 @@ def test_angle_gradient_evaluates_the_chart_once(monkeypatch):
     angles = states_to_angles(random_set(4, seed=3).states)
     gradient_hyperspherical(angles, 4)
     assert len(calls) == 1
+
+
+def test_inverse_gram_matches_scipy_cholesky_wrappers_bitwise():
+    # the optimizer's factor, its G^-1 = L^-T L^-1 and its cost are the
+    # metrics kernel's on the same Gram to the bit, so the kernel's accuracy
+    # tests cover them; against scipy's cho_factor/cho_solve wrappers they
+    # agree within k eps cond(G) max|G^-1| on each entry of G^-1 (k = 4, as
+    # in the mpmath reference test) and k eps cond(G) on the cost (k = 1)
+    from scipy.linalg import cho_factor, cho_solve
+
+    eps = np.finfo(float).eps
+    for n, seed in ((2, 1), (4, 2), (6, 3)):
+        states = np.array(random_set(n, seed=seed).states)
+        g = gram_from_states(states, n)
+        kernel = _inverse_factor(g)
+        linv = _factor(states, n)
+        assert linv.tobytes() == kernel.tobytes()
+        assert (linv.T @ linv).tobytes() == (kernel.T @ kernel).tobytes()
+        xi = cost_and_gradient(states, n)[0]
+        assert xi == _xi(kernel)
+        ref = cho_solve(cho_factor(g, lower=True, check_finite=False),
+                        np.eye(g.shape[0]))
+        bound = eps * np.linalg.cond(g)
+        assert (np.abs(linv.T @ linv - ref).max()
+                <= 4.0 * bound * np.abs(ref).max())
+        assert abs(xi - np.trace(ref)) <= bound * np.trace(ref)
 
 
 def _xi_sample_sets():
