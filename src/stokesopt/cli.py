@@ -395,6 +395,15 @@ def _scenario_field(doc: dict, key: str, kind, where: str, default=None):
     return float(value) if kind is float else value
 
 
+def _numbers_field(doc: dict, key: str, where: str) -> np.ndarray:
+    """doc[key] as a float array; it must be a list of JSON numbers."""
+    value = _scenario_field(doc, key, list, where)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in value):
+        raise _InputError(f"{where}: field '{key}' must be a list of numbers")
+    return np.asarray(value, dtype=float)
+
+
 def _seed_field(doc: dict, key: str, where: str, default: int) -> int:
     seed = _scenario_field(doc, key, int, where, default)
     if seed < 0:
@@ -407,16 +416,16 @@ def _fiber_from(doc: dict, where: str) -> fibersim.FiberModel:
     sub = f"{where}: fiber"
     n = _scenario_field(fd, "n", int, sub)
     tau0 = _scenario_field(fd, "tau0", float, sub)
-    md = np.asarray(_scenario_field(fd, "md_vector", list, sub), dtype=float)
+    md = _numbers_field(fd, "md_vector", sub)
     seed = _seed_field(fd, "unitary_seed", sub, 0)
     z = _scenario_field(fd, "z", float, sub, 1.0)
     try:
         if "pa_coeffs" in fd:
             return fibersim.synth_mdl_fiber(
-                n, np.asarray(fd["pa_coeffs"], dtype=float),
+                n, _numbers_field(fd, "pa_coeffs", sub),
                 z=z, seed=seed, tau0=tau0,
                 md_vector=md,
-                pa_slope=(np.asarray(fd["pa_slope"], dtype=float)
+                pa_slope=(_numbers_field(fd, "pa_slope", sub)
                           if "pa_slope" in fd else None))
         return fibersim.synth_md_fiber(n, tau0, md, seed=seed)
     except (ConfigError, DimensionError, ValueError) as exc:
@@ -425,8 +434,10 @@ def _fiber_from(doc: dict, where: str) -> fibersim.FiberModel:
 
 def _receiver_from(doc: dict, where: str) -> ReceiverModel:
     rd = _scenario_field(doc, "receiver", dict, where)
+    fields = {k: _scenario_field(rd, k, str if k == "quadrature" else float,
+                                 f"{where}: receiver") for k in rd}
     try:
-        return ReceiverModel(**rd)
+        return ReceiverModel(**fields)
     except (ConfigError, DimensionError, TypeError) as exc:
         raise _InputError(f"{where}: receiver: {exc}") from exc
 

@@ -11,15 +11,17 @@ reconstruction routines invert a launch set's Stokes coefficient matrix to
 recover the delay vector and the loss parameters, mirroring how the physical
 experiment would process the same records.
 
-Both delay readouts are linear in the receiver noise: launch i reads
-d_i + g_i . e, with d_i its noiseless delay, e i.i.d. Gaussian noise and g_i
-a fixed gain (1 in analytic mode, the first-moment weights over the
-noiseless windowed energy in waveform mode).  measure_delay, estimate_tau0
-and monte_carlo_md all compute (d, g) once per launch and then only draw e.
-Likewise a power reading is a (1 + rel_noise z) of the clean attenuation a:
-monte_carlo_mdl takes each a once from measure_attenuation and then only
-draws z.  Readings are plain floats; reconstruct_md and reconstruct_mdl
-check that every reading handed to them is finite.
+Every noiseless narrowband reading is an expectation <s|O|s>.  Both delay
+readouts are linear in the receiver noise: launch i reads d_i + g_i . e, with
+d_i its noiseless delay, e i.i.d. Gaussian noise and g_i a fixed gain (1 in
+analytic mode, the first-moment weights over the noiseless windowed energy in
+waveform mode).  measure_delay, estimate_tau0 and monte_carlo_md all compute
+(d, g) once per launch and then only draw e.  Likewise a power reading is a
+(1 + rel_noise z) of the clean attenuation a: monte_carlo_mdl takes each a
+once from measure_attenuation and then only draws z.  Readings are plain
+floats; reconstruct_md and reconstruct_mdl check that every reading handed to
+them is finite.  Both Monte Carlos predict their error by one law: reading
+noise of covariance R R^T reconstructs to a mean square ||2 c_n^2 S^-1 R||_F^2.
 
 Units are SI throughout: seconds, Hz, rad/s for the frequency detuning,
 watts, amperes, joules, metres.  Mixing propagation quantities (delays)
@@ -43,14 +45,8 @@ from .errors import (
     EstimationFailedError,
     SingularSetError,
 )
-from .gellmann import (
-    assemble,
-    expand_matrix,
-    jones_to_stokes,
-    jones_to_stokes_batch,
-    norm_coeff,
-)
-from .metrics import variance_prediction
+from .gellmann import assemble, expand_matrix, norm_coeff
+from .metrics import cost
 from .seeding import rng_for
 from .sets import LaunchSet, SimplexSet, haar_unitary
 
@@ -68,7 +64,6 @@ __all__ = [
     "measure_delay",
     "estimate_tau0",
     "reconstruct_md",
-    "scaled_delay_variance",
     "monte_carlo_md",
     "monte_carlo_mdl",
     "measure_attenuation",
@@ -316,21 +311,6 @@ class ComplexGdOperator:
     pms: np.ndarray
     defective: bool = False
 
-    def __post_init__(self):
-        vec = np.asarray(self.chi_vector, dtype=complex)
-        if vec.shape != (self.n * self.n - 1,):
-            raise DimensionError(
-                f"chi_vector for n={self.n} needs shape ({self.n * self.n - 1},)")
-        d = np.asarray(self.dmgds, dtype=float)
-        p = np.asarray(self.pms, dtype=complex)
-        if d.shape != (self.n,):
-            raise DimensionError(f"dmgds must have shape ({self.n},)")
-        if p.shape != (self.n, self.n):
-            raise DimensionError(f"pms must be ({self.n}, {self.n})")
-        self.chi_vector = vec
-        self.dmgds = d
-        self.pms = p
-
 
 # ---------------------------------------------------------------------------
 # Synthesis and propagation
@@ -396,13 +376,21 @@ def numeric_gd_expansion(f: FiberModel,
 # Delay measurement
 # ---------------------------------------------------------------------------
 
-def group_delay(f: FiberModel, states):
-    """Narrowband pulse delay tau0 + md_vector . s_hat / (2 c_n^2) of a unit
-    launch state (n,), as a float, or of each row of a (k, n) stack."""
+def _expectation(op: np.ndarray, states):
+    """Re <s|O|s> of one state (n,), as a float, or of each row of a (k, n)
+    stack.  Two 2-operand einsums, unlike BLAS or one 3-operand einsum,
+    round each row the same at any k: a batch reads what single calls read."""
     states = np.asarray(states, dtype=complex)
-    shat = jones_to_stokes_batch(states if states.ndim == 2 else states[None])
-    delays = f.tau0 + shat @ f.md_vector / (2.0 * norm_coeff(f.n) ** 2)
-    return delays if states.ndim == 2 else float(delays[0])
+    rows = states if states.ndim == 2 else states[None]
+    values = np.einsum("ka,ka->k", rows.conj(),
+                       np.einsum("kb,ab->ka", rows, op)).real
+    return values if states.ndim == 2 else float(values[0])
+
+
+def group_delay(f: FiberModel, states):
+    """Narrowband delay <s| delay_operator |s> = tau0 + md_vector . s_hat /
+    (2 c_n^2) of a unit launch state (n,), or of each row of a (k, n) stack."""
+    return _expectation(delay_operator(f), states)
 
 
 def _rng_from(seed) -> np.random.Generator:
@@ -435,6 +423,9 @@ def _readout(f: FiberModel, states: np.ndarray, rx: ReceiverModel,
     """
     if mode not in DELAY_MODES:
         raise ConfigError(f"mode must be one of {DELAY_MODES}, got {mode!r}")
+    if states.shape[1] != f.n:
+        raise DimensionError(
+            f"launch states have {states.shape[1]} modes, fiber has {f.n}")
     if mode == "analytic":
         return (group_delay(f, states), np.ones((len(states), 1)),
                 math.sqrt(rx.delay_variance))
@@ -501,9 +492,6 @@ def estimate_tau0(f: FiberModel, rx: ReceiverModel, simplex: SimplexSet,
     """
     if repeats < 1:
         raise ConfigError("repeats must be at least 1")
-    if simplex.n != f.n:
-        raise DimensionError(
-            f"simplex has {simplex.n} modes, fiber has {f.n}")
     noisy = rx.noise_psd > 0.0
     if noisy and seed is None:
         raise ConfigError("a seed is required for a noisy receiver")
@@ -552,10 +540,11 @@ def reconstruct_md(launch_set: LaunchSet, delays, tau0: float) -> np.ndarray:
     return _solve_stokes(launch_set, values - tau0)
 
 
-def scaled_delay_variance(rx: ReceiverModel, n: int) -> float:
-    """Variance of one scaled delay 2 c_n^2 (tau_g - tau0) (s^2)."""
-    c = norm_coeff(n)
-    return (2.0 * c * c) ** 2 * rx.delay_variance
+def _predicted_mse(launch_set: LaunchSet, root) -> float:
+    """Mean squared reconstruction error (2 c_n^2)^2 Tr(S^-1 C S^-T) =
+    ||2 c_n^2 S^-1 R||_F^2 of readings with noise covariance C = R R^T."""
+    x = _solve_stokes(launch_set, root)
+    return float(np.sum(x * x))
 
 
 _DRAW_BLOCK = 1 << 20
@@ -587,15 +576,14 @@ def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
     The readouts d + g . e draw their noise from one stream of seed in trial
     order, in bounded blocks, so the first t trials do not depend on the run
     length; one multi-right-hand-side solve reconstructs every trial.
-    Returns the per-trial squared error norms, their mean, the closed-form
-    prediction scaled_delay_variance * xi, the mean error vector and the
-    empirical covariance.
+    Returns the per-trial squared error norms, their mean, the mean error
+    vector, the empirical covariance and the mean square predicted from the
+    noise drawn, of variance sigma^2 ||g_i||^2 at launch i.  A launch set
+    that metrics rejects raises SingularSetError before any draw.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    if launch_set.n != f.n:
-        raise DimensionError(
-            f"launch set has {launch_set.n} modes, fiber has {f.n}")
+    cost(launch_set)  # SingularSetError for a set metrics rejects
     if rx.noise_psd <= 0:
         raise ConfigError("monte_carlo_md needs a noisy receiver")
     delays, gain, sigma = _readout(f, launch_set.states, rx, mode)
@@ -616,8 +604,8 @@ def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
         "covariance": errors.T @ errors / trials,
         "sq_errors": sq,
         "mean_sq_error": float(sq.mean()),
-        "predicted_mean_sq": variance_prediction(
-            launch_set, scaled_delay_variance(rx, f.n)),
+        "predicted_mean_sq": _predicted_mse(
+            launch_set, np.diag(sigma * np.linalg.norm(gain, axis=1))),
     }
 
 
@@ -635,8 +623,7 @@ def measure_attenuation(f: FiberModel, state, rel_noise: float = 0.0,
     state = _launch_state(f, state)
     if not 0.0 <= rel_noise < math.inf:
         raise ConfigError("rel_noise must be finite and non-negative")
-    p2 = f.loss_matrix(squared=True)
-    value = float(np.real(state.conj() @ p2 @ state))
+    value = _expectation(f.loss_matrix(squared=True), state)
     if rel_noise > 0:
         if seed is None:
             raise ConfigError("a seed is required for noisy power readings")
@@ -651,13 +638,11 @@ def mdl_parameters(f: FiberModel) -> tuple[float, np.ndarray]:
     return alpha0, vector.real / alpha0
 
 
-def predicted_attenuation(alpha0: float, gamma, state) -> float:
-    """Closed-form attenuation alpha0 (1 + gamma . s_hat / (2 c_n^2))."""
-    shat = jones_to_stokes(state)
-    gamma = np.asarray(gamma, dtype=float)
-    n = int(round(math.sqrt(gamma.shape[0] + 1)))
-    c = norm_coeff(n)
-    return alpha0 * (1.0 + float(gamma @ shat) / (2.0 * c * c))
+def predicted_attenuation(alpha0: float, gamma, state):
+    """Attenuation <s| alpha0 (I + gamma . L / (2 c_n)) |s> = alpha0 (1 +
+    gamma . s_hat / (2 c_n^2)) of a unit state (n,) or of each stack row."""
+    n = np.shape(state)[-1]
+    return _expectation(alpha0 * assemble(n, 1.0, gamma), state)
 
 
 def reconstruct_mdl(launch_set: LaunchSet, simplex: SimplexSet,
@@ -695,7 +680,8 @@ def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
     standard normal, drawn from one stream of seed in trial order and in
     bounded blocks, so the first t trials do not depend on the run length.
     reconstruct_mdl estimates each trial; the first trial that no physical
-    loss fits raises EstimationFailedError.
+    loss fits raises EstimationFailedError.  A launch set that metrics
+    rejects raises SingularSetError before any draw.
 
     Returns the true alpha0, the per-trial squared gamma errors, estimated
     alpha0 and mdl_ratio, their means, and the first-order prediction of
@@ -707,6 +693,7 @@ def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
         raise ConfigError("trials must be at least 1")
     if not 0.0 <= rel_noise < math.inf:
         raise ConfigError("rel_noise must be finite and non-negative")
+    cost(launch_set)  # SingularSetError for a set metrics rejects
     m = launch_set.m
     clean = np.array([measure_attenuation(f, s) for s in
                       (*launch_set.states, *simplex.states)])
@@ -722,12 +709,10 @@ def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
     sq = np.array([np.sum((e.gamma - gamma_true) ** 2) for e in estimates])
     alpha0 = np.array([e.alpha0 for e in estimates])
     ratio = np.array([e.mdl_ratio for e in estimates])
-    # C = R R^T with R = rel_noise [diag(r) | spread r], so the predicted
-    # trace is the squared Frobenius norm of 2 c_n^2 S^-1 R
+    # C = R R^T with R = rel_noise [diag(r) | spread r]
     r = clean[:m] / alpha0_true
     spread = math.sqrt(clean[m:] @ clean[m:]) / (f.n * alpha0_true)
-    root = _solve_stokes(launch_set,
-                         rel_noise * np.column_stack([np.diag(r), spread * r]))
+    root = rel_noise * np.column_stack([np.diag(r), spread * r])
     return {
         "alpha0_true": alpha0_true,
         "gamma_sq_errors": sq,
@@ -736,7 +721,7 @@ def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
         "gamma_mse": float(sum(sq) / trials),
         "alpha0_mse": float(sum((alpha0 - alpha0_true) ** 2) / trials),
         "mdl_ratio_mean": float(sum(ratio) / trials),
-        "predicted_gamma_mse": float(np.sum(root * root)),
+        "predicted_gamma_mse": _predicted_mse(launch_set, root),
     }
 
 

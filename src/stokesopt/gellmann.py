@@ -167,9 +167,7 @@ def projection_operator(s) -> np.ndarray:
     """
     s = _as_state(s)
     n = s.shape[0]
-    shat = jones_to_stokes(s)
-    acc = np.tensordot(shat, gell_mann_basis(n), axes=(0, 0))
-    return np.eye(n) / n + acc / (2.0 * norm_coeff(n))
+    return assemble(n, 1.0 / n, jones_to_stokes(s))
 
 
 def expand_matrix(m) -> tuple[complex, np.ndarray]:
@@ -199,7 +197,7 @@ def assemble(n: int, scalar, vector) -> np.ndarray:
     if vec.shape != (len(basis),):
         raise DimensionError(
             f"vector part has shape {vec.shape}, expected ({len(basis)},)")
-    acc = np.tensordot(vec, basis, axes=(0, 0))
+    acc = (vec @ basis.reshape(len(basis), n * n)).reshape(n, n)
     return complex(scalar) * np.eye(n) + acc / (2.0 * norm_coeff(n))
 
 

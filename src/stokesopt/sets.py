@@ -507,6 +507,8 @@ def load_set(path) -> LaunchSet:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
     for key in ("n", "family", "vectors"):
         if key not in doc:
             raise ConfigError(f"{path}: missing field '{key}'")
@@ -526,6 +528,8 @@ def load_set(path) -> LaunchSet:
     if dev > 1e-12:
         # tolerate mildly rounded inputs, but keep exact files bit-exact
         states = states / norms[:, None]
+    if not isinstance(doc.get("meta", {}), dict):
+        raise ConfigError(f"{path}: field 'meta' must be a JSON object")
     return LaunchSet(n=n, states=states, family=str(doc["family"]),
                      meta=dict(doc.get("meta", {})))
 

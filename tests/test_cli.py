@@ -295,6 +295,21 @@ def test_evaluate_names_offending_field(capsys):
     assert "vectors" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, field", [
+    (5, "top level"), ({"meta": [1, 2]}, "'meta'"),
+    ({"meta": "abc"}, "'meta'")])
+def test_evaluate_rejects_malformed_set_documents(capsys, doc, field):
+    assert run_cli("gen-set", "--family", "mub", "--n", "2",
+                   "--out", "mub2.json") == 0
+    if isinstance(doc, dict):
+        doc = dict(read_json("mub2.json"), **doc)
+    with open("bad.json", "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--set", "bad.json") == 4
+    assert field in capsys.readouterr().err
+
+
 def test_evaluate_rejects_non_finite_state(capsys):
     data = importlib.resources.files("stokesopt") / "data" / "optimal_n4.json"
     doc = json.loads(data.read_text())
@@ -563,6 +578,8 @@ SCENARIOS = {
 }
 SEED_FIELDS = {"seed", "simplex_seed", "unitary_seed"}
 INT_FIELDS = {"trials", "n"} | SEED_FIELDS
+# list fields and their length in the two-mode scenarios
+LIST_FIELDS = {"md_vector": 3, "pa_coeffs": 2, "pa_slope": 2}
 
 
 @pytest.mark.parametrize("path", [
@@ -570,15 +587,21 @@ INT_FIELDS = {"trials", "n"} | SEED_FIELDS
     ("md", "seed"), ("mdl", "seed"), ("mdl", "simplex_seed"),
     ("joint", "simplex_seed"), ("md", "fiber", "unitary_seed"),
     ("mdl", "attenuation_rel_noise"), ("joint", "domega"),
-    ("mdl", "fiber", "z")])
+    ("mdl", "fiber", "z"), ("md", "receiver", "responsivity"),
+    ("joint", "receiver", "noise_psd"), ("md", "fiber", "md_vector"),
+    ("mdl", "fiber", "pa_coeffs"), ("mdl", "fiber", "pa_slope")])
 def test_simulate_rejects_boolean_numbers(capsys, path):
     # bool subclasses int in Python; JSON true must not pass as 1, nor a
-    # string or a fraction where a number or an integer is required
+    # string or a fraction where a number or an integer is required, nor
+    # a list holding a boolean where a list of numbers is required
     assert run_cli("gen-set", "--family", "mub", "--n", "2",
                    "--out", "mub2.json") == 0
     mode, *parents, key = path
+    size = LIST_FIELDS.get(key, 0)
     bads = ((True, "x") + ((1.5,) if key in INT_FIELDS else ())
-            + ((-1,) if key in SEED_FIELDS else ()))
+            + ((-1,) if key in SEED_FIELDS else ())
+            + (([True] * size, [0.0] * (size - 1) + [False]) if size
+               else ()))
     for bad in bads:
         capsys.readouterr()
         doc = json.loads(json.dumps(SCENARIOS[mode]))

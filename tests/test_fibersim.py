@@ -20,6 +20,7 @@ from stokesopt.errors import (
     SingularSetError,
 )
 from stokesopt.gellmann import expand_matrix, jones_to_stokes, norm_coeff
+from stokesopt.metrics import variance_prediction
 from stokesopt.seeding import rng_for
 from stokesopt.sets import (
     bundled_optimal_set,
@@ -374,6 +375,81 @@ def test_monte_carlo_matches_variance_prediction():
     # the oblique set amplifies noise: strictly larger, both ways
     assert oblique["predicted_mean_sq"] > ortho["predicted_mean_sq"] * 1.5
     assert oblique["mean_sq_error"] > ortho["mean_sq_error"] * 1.5
+
+
+def test_analytic_prediction_is_the_closed_form():
+    rx = noisy_receiver()
+    for n, launch in ((2, random_set(2, seed=5)), (4, bundled_optimal_set())):
+        c = norm_coeff(n)
+        out = fsim.monte_carlo_md(random_fiber(n, seed=n), launch, rx, 2,
+                                  seed=1)
+        want = variance_prediction(
+            launch, (2 * c * c) ** 2 * rx.delay_variance)
+        assert out["predicted_mean_sq"] == pytest.approx(want, rel=1e-12,
+                                                         abs=0)
+
+
+def test_waveform_prediction_is_quadrature_exact():
+    # without any delay every launch reads the same windowed energy E, so
+    # each reading's noise variance is v = sigma^2 sum (w_p t_p)^2 / E^2,
+    # a little above the continuum delay_variance
+    rx = noisy_receiver()
+    launch = bundled_optimal_set()
+    f = fsim.FiberModel(4, tau0=0.0, md_vector=np.zeros(15),
+                        base_unitary=np.eye(4))
+    t = rx.time_grid()
+    w = rx.quadrature_weights()
+    peak = rx.energy / (rx.pulse_width * math.sqrt(math.pi))
+    energy_win = float(w @ (rx.responsivity * peak
+                            * np.exp(-(t / rx.pulse_width) ** 2)))
+    v = (rx.sample_noise_variance * float(np.sum((w * t) ** 2))
+         / energy_win ** 2)
+    c = norm_coeff(4)
+    want = (2 * c * c) ** 2 * metrics(launch).xi * v
+    out = fsim.monte_carlo_md(f, launch, rx, 2, seed=0, mode="waveform")
+    assert out["predicted_mean_sq"] == pytest.approx(want, rel=1e-10, abs=0)
+
+
+def test_monte_carlos_reject_a_singular_set_before_drawing(monkeypatch):
+    ls = random_set(2, seed=1)
+    near = ls.states.copy()
+    near[1] = near[0] + 1e-9 * near[1]
+    near[1] /= np.linalg.norm(near[1])
+    degenerate = type(ls)(n=2, states=near)
+    with pytest.raises(SingularSetError):
+        metrics(degenerate)
+    f = random_fiber(2, seed=1)
+    lossy, sx = _mdl_scene(2)
+
+    def no_draw(*args):
+        raise AssertionError("noise drawn for a singular launch set")
+
+    monkeypatch.setattr(fsim, "rng_for", no_draw)
+    with pytest.raises(SingularSetError):
+        fsim.monte_carlo_md(f, degenerate, noisy_receiver(), 10)
+    with pytest.raises(SingularSetError):
+        fsim.monte_carlo_mdl(lossy, degenerate, sx, 1e-2, 10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_readings_match_their_stokes_forms(n):
+    rng = rng_for(n, 29)
+    f = random_fiber(n, seed=30 + n)
+    states = np.array([unit_state(rng, n) for _ in range(20)])
+    shat = np.array([jones_to_stokes(s) for s in states])
+    c2 = norm_coeff(n) ** 2
+    alpha0, gamma = 0.7, rng.normal(0.0, 0.1, n * n - 1)
+    delays = fsim.group_delay(f, states)
+    attenuations = fsim.predicted_attenuation(alpha0, gamma, states)
+    np.testing.assert_allclose(delays, f.tau0 + shat @ f.md_vector / (2 * c2),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(attenuations,
+                               alpha0 * (1.0 + shat @ gamma / (2 * c2)),
+                               rtol=1e-12, atol=0)
+    # a single state reads exactly its row of the stack
+    for s, d, a in zip(states, delays, attenuations):
+        assert fsim.group_delay(f, s) == d
+        assert fsim.predicted_attenuation(alpha0, gamma, s) == a
 
 
 def test_monte_carlo_errors_are_centred_and_uncorrelated():

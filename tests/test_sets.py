@@ -364,12 +364,19 @@ def test_load_accepts_mildly_rounded_states(tmp_path):
     (lambda d: d["vectors"][0].append([0.5, 0.0]), "vectors"),
     (lambda d: d.update(vectors=[[[2.0, 0.0], [0.0, 0.0]]] * 3), "non-unit"),
     (lambda d: d["vectors"][1][0].__setitem__(0, float("nan")), "non-finite"),
+    (lambda d: d.update(meta=[1, 2]), "'meta'"),
+    (lambda d: d.update(meta="abc"), "'meta'"),
+    (5, "top level"),
 ])
 def test_load_rejects_malformed_documents(tmp_path, mutate, fragment):
+    # `mutate` edits the saved document in place, or is a whole replacement
     path = tmp_path / "bad.json"
     save_set(yang_nolan(2), path)
     doc = json.loads(path.read_text())
-    mutate(doc)
+    if callable(mutate):
+        mutate(doc)
+    else:
+        doc = mutate
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=fragment):
         load_set(path)
