@@ -143,11 +143,13 @@ def _manifest_path(first_output: str) -> str:
     return stem + ".manifest.json"
 
 
-def _write_manifest(args, path: str, outputs, started: float) -> None:
-    """The run's manifest at `path`, listing `outputs`, the files it wrote."""
+def _write_manifest(args, path: str, outputs, started: float,
+                    workers: int | None = None) -> None:
+    """The run's manifest at `path`, listing `outputs`, the files it wrote,
+    and for pooled commands the pool width it used."""
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "command")}
-    _write_json(path, {
+    doc = {
         "command": args.command,
         "config": config,
         "seed": getattr(args, "seed", None),
@@ -155,7 +157,10 @@ def _write_manifest(args, path: str, outputs, started: float) -> None:
         "wall_time_s": time.time() - started,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(p) for p in outputs],
-    })
+    }
+    if workers is not None:
+        doc["workers"] = workers
+    _write_json(path, doc)
 
 
 def _print_summary(info: dict) -> None:
@@ -263,10 +268,14 @@ def cmd_optimize(args) -> int:
         # family constructions can start exactly on a stationary point
         initial = jitter_set(initial, scale=1e-6, seed=args.seed)
 
+    # the width multi_start runs at: serial below two workers or starts
+    workers = 1
+    if args.init == "random":
+        workers = max(1, min(_cli_workers(), args.starts))
     try:
         if args.init == "random":
             result = multi_start(args.n, starts=args.starts, config=config,
-                                 workers=_cli_workers())
+                                 workers=workers)
             runs, best_index = result.runs, result.best_index
         else:
             runs, best_index = [descend(initial, config)], 0
@@ -278,7 +287,7 @@ def cmd_optimize(args) -> int:
         # a failed search still reports every start it ran
         _write_csv(starts_path, manifest_name, _STARTS_HEADER,
                    _starts_rows(exc.diagnostics))
-        _write_manifest(args, manifest, [starts_path], started)
+        _write_manifest(args, manifest, [starts_path], started, workers)
         raise
 
     best = runs[best_index]
@@ -290,7 +299,7 @@ def cmd_optimize(args) -> int:
                [[str(int(it)), _fmt(xi), _fmt(gn)]
                 for it, xi, gn in best.trajectory])
     _write_manifest(args, manifest, [set_path, starts_path, traj_path],
-                    started)
+                    started, workers)
     mt = metrics(best_set)
     _print_summary({
         "algorithm": args.algo, "n": args.n, "init": args.init,
@@ -337,15 +346,28 @@ def _parse_n_list(text: str) -> list:
     return ns
 
 
-def _sweep_metrics(family: str, n: int, seed: int, tol: float):
+def _sweep_row(job) -> list:
+    """The six CSV fields of one sweep row, job = (family, n, seed, tol)."""
+    family, n, seed, tol = job
     if family == "sic-analytic":
-        return metrics_from_gram(sic_gram(n))
-    if family == "mub-analytic":
-        return metrics_from_gram(mub_gram(n))
-    return metrics(_build_family(family, n, seed, tol))
+        mt = metrics_from_gram(sic_gram(n))
+    elif family == "mub-analytic":
+        mt = metrics_from_gram(mub_gram(n))
+    else:
+        mt = metrics(_build_family(family, n, seed, tol))
+    return [str(n), family, _fmt(mt.xi), _fmt(mt.penalty_db),
+            _fmt(mt.condition_number), _fmt(mt.log_volume)]
 
 
 def cmd_sweep(args) -> int:
+    """Tabulate family metrics over mode counts, one row per (family, n).
+
+    Rows are scored over up to STOKES_OPT_THREADS processes (every core
+    when unset), in this one when that or the row count is at most 1.  The
+    CSV is written once every row is back, in table order, so its bytes do
+    not depend on the width, and a failing row raises the first error in
+    table order, as the serial loop does.
+    """
     started = time.time()
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families:
@@ -358,7 +380,7 @@ def cmd_sweep(args) -> int:
     out = args.out or "sweep.csv"
     manifest = _manifest_path(out)
 
-    rows, skipped = [], []
+    jobs, skipped = [], []
     for fam in families:
         for n in ns:
             # constructed MUBs exist here for prime mode counts only; the
@@ -366,12 +388,17 @@ def cmd_sweep(args) -> int:
             if fam == "mub" and not _is_prime(n):
                 skipped.append(f"{fam}:{n}")
                 continue
-            mt = _sweep_metrics(fam, n, args.seed, args.tol)
-            rows.append([str(n), fam, _fmt(mt.xi), _fmt(mt.penalty_db),
-                         _fmt(mt.condition_number), _fmt(mt.log_volume)])
+            jobs.append((fam, n, args.seed, args.tol))
+    workers = max(1, min(_cli_workers(), len(jobs)))
+    if workers == 1:
+        rows = [_sweep_row(job) for job in jobs]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_sweep_row, jobs))
     _write_csv(out, Path(manifest).name,
                "n,family,xi,penalty_db,condition_number,log_volume", rows)
-    _write_manifest(args, manifest, [out], started)
+    _write_manifest(args, manifest, [out], started, workers)
     _print_summary({"rows": len(rows), "skipped": skipped, "out": out})
     return 0
 
@@ -453,7 +480,10 @@ def _launch_set_from(doc: dict, scenario_path: Path, where: str) -> LaunchSet:
 def _simulate_md(doc, fiber, ls, seed, where):
     rx = _receiver_from(doc, where)
     trials = _scenario_field(doc, "trials", int, where)
-    measurement = doc.get("measurement", "analytic")
+    measurement = _scenario_field(doc, "measurement", str, where, "analytic")
+    if measurement not in ("analytic", "waveform"):
+        raise _InputError(f"{where}: field 'measurement' must be "
+                          "'analytic' or 'waveform'")
     res = fibersim.monte_carlo_md(fiber, ls, rx, trials, seed=seed,
                                   mode=measurement)
     mt = metrics(ls)

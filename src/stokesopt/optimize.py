@@ -25,7 +25,6 @@ its gradient.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,6 +293,7 @@ def multi_start(n: int, starts: int = 8,
     if workers <= 1 or starts == 1:
         runs = [_descend_start(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, starts)) as pool:
             runs = list(pool.map(_descend_start, jobs))
     best_index = None

@@ -418,18 +418,16 @@ def random_states(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
 
 
 def random_set(n: int, seed: int = 0) -> LaunchSet:
-    """Uniform random launch set, redrawn (meta["attempt"] counts rejected
-    draws) until cond2(G) <= COND_LIMIT, so the metrics accept every set."""
+    """Uniform random launch set: the first draw of rng_for(seed).
+
+    A singular draw has probability zero.  Should one occur, `metrics`
+    rejects it with SingularSetError (exit 3 in the CLI), and in
+    `multi_start` it aborts only its own start.
+    """
     if n < 2:
         raise DimensionError(f"need at least 2 modes, got n={n}")
-    rng = rng_for(seed)
-    for attempt in range(64):
-        states = random_states(rng, n * n - 1, n)
-        lam = np.linalg.eigvalsh(gram_from_states(states, n))
-        if _gram_condition(lam) <= COND_LIMIT:
-            return LaunchSet(n=n, states=states, family="random",
-                             meta={"seed": seed, "attempt": attempt})
-    raise SearchFailedError(f"could not draw a nonsingular random set for n={n}")
+    states = random_states(rng_for(seed), n * n - 1, n)
+    return LaunchSet(n=n, states=states, family="random", meta={"seed": seed})
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -132,7 +132,14 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
     # identity in the chart, so the probe memo sees the very array it probed
     retract = normalize_rows if on_spheres else (lambda point: point)
     states = retract(np.array(states0))
-    f, g = grad_fn(states)
+    try:
+        f, g = grad_fn(states)
+    except ArithmeticError:
+        # a singular start aborts before its first iteration
+        return DescentResult(states=states, cost=np.inf, grad_norm=np.inf,
+                             iterations=0, converged=False, aborted=True,
+                             trajectory=np.array([(0.0, np.inf, np.inf)]),
+                             stop_reason="singular_iterate")
     gnorm = float(np.linalg.norm(g))
     log = [(0, f, gnorm)]
 

@@ -11,6 +11,7 @@ import importlib.resources
 import json
 import math
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -147,6 +148,20 @@ def test_no_command_loads_scipy(child_env):
             "             ['simulate', '--scenario', 'md.json']):\n"
             "    assert stokesopt.cli.main(argv) == 0, argv\n"
             "assert 'scipy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_serial_commands_do_not_load_the_process_pool(child_env):
+    # concurrent.futures.process pulls in multiprocessing, most of the
+    # package's own import time; only a pooled branch imports it
+    code = ("import sys, importlib.resources\n"
+            "import stokesopt, stokesopt.cli\n"
+            "data = importlib.resources.files('stokesopt') / 'data'\n"
+            "argv = ['evaluate', '--set', str(data / 'optimal_n4.json')]\n"
+            "assert stokesopt.cli.main(argv) == 0\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=child_env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -392,6 +407,53 @@ def test_sweep_rejects_bad_input():
     assert run_cli("sweep", "--families", "yang", "--n-list", "1") == 2
 
 
+def test_sweep_rows_do_not_depend_on_the_pool_width(capsys, monkeypatch):
+    written = {}
+    for width in (1, 2):
+        monkeypatch.setenv("STOKES_OPT_THREADS", str(width))
+        assert run_cli("sweep", "--families",
+                       "yang,mub,random,sic-analytic,mub-analytic",
+                       "--n-list", "2-12", "--out", "sw.csv") == 0
+        written[width] = (Path("sw.csv").read_bytes(),
+                          capsys.readouterr().out)
+        assert read_json("sw.manifest.json")["workers"] == width
+    assert written[1] == written[2]
+
+
+def test_sweep_failing_row_fails_alike_at_any_width(capsys, monkeypatch):
+    # sic reaches tol 1e-30 at n=2 only; the rows n=3..5 all fail, and the
+    # first of them in table order is the one reported
+    errors = set()
+    for width in ("1", "2"):
+        monkeypatch.setenv("STOKES_OPT_THREADS", width)
+        assert run_cli("sweep", "--families", "yang,sic", "--n-list", "2-5",
+                       "--tol", "1e-30") == 3
+        errors.add(capsys.readouterr().err)
+        assert os.listdir() == []
+    assert len(errors) == 1
+    assert errors.pop().startswith("error: SIC search for n=3 ")
+    # a pool hands the error back pickled, residual included
+    with pytest.raises(SearchFailedError) as failed:
+        cli._sweep_row(("sic", 3, 0, 1e-30))
+    copy = pickle.loads(pickle.dumps(failed.value))
+    assert str(copy) == str(failed.value)
+    assert copy.residual == failed.value.residual > 0.0
+
+
+def test_optimize_manifest_records_its_pool_width(monkeypatch):
+    argv = ("optimize", "--n", "3", "--algo", "projected",
+            "--starts", "2", "--max-iter", "500", "--out", "w")
+    outputs = (".json", "_starts.csv", "_trajectory.csv")
+    for width in (1, 2):
+        monkeypatch.setenv("STOKES_OPT_THREADS", str(width))
+        assert run_cli(*argv) == 0
+        assert read_json("w.manifest.json")["workers"] == width
+        for ext in outputs:
+            shutil.copy("w" + ext, f"width{width}{ext}")
+    for ext in outputs:
+        assert filecmp.cmp(f"width1{ext}", f"width2{ext}", shallow=False)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -562,6 +624,14 @@ def test_simulate_input_errors(capsys):
                        "--out", "noise_out.json") == 2
         assert "rel_noise must be finite" in capsys.readouterr().err
         assert not os.path.exists("noise_out.json")
+    for value in (True, 3, "fast"):
+        capsys.readouterr()
+        write_scenario("meas.json", **dict(SCENARIOS["md"],
+                                           measurement=value))
+        assert run_cli("simulate", "--scenario", "meas.json",
+                       "--out", "meas_out.json") == 4, value
+        assert "field 'measurement' must be" in capsys.readouterr().err
+        assert not os.path.exists("meas_out.json")
 
 
 LOSSY_FIBER = dict(TWO_MODE_FIBER, unitary_seed=2, pa_coeffs=[0.1, 0.4],

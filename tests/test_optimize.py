@@ -293,6 +293,30 @@ def test_multi_start_rejects_zero_starts():
         multi_start(3, starts=0)
 
 
+@pytest.mark.parametrize("algorithm", ["hyperspherical", "projected"])
+def test_singular_start_aborts_only_itself(monkeypatch, algorithm):
+    # random_set keeps its first draw; one that repeats a state (probability
+    # zero) is singular, and its start aborts without stopping the others
+    draw = optimize.random_set
+
+    def repeat_a_state_at_seed_1(n, seed=0):
+        s = draw(n, seed=seed)
+        if seed == 1:
+            s.states[1] = s.states[0]
+        return s
+
+    monkeypatch.setattr(optimize, "random_set", repeat_a_state_at_seed_1)
+    with pytest.raises(SingularSetError):
+        metrics(repeat_a_state_at_seed_1(3, seed=1))
+    res = multi_start(3, starts=3, config=OptimizerConfig(
+        algorithm=algorithm, max_iters=200, seed=0))
+    bad = res.runs[1]
+    assert bad.aborted and bad.stop_reason == "singular_iterate"
+    assert bad.iterations_used == 0 and bad.final_xi == math.inf
+    assert not any(run.aborted for run in (res.runs[0], res.runs[2]))
+    assert res.best_index != 1
+
+
 def test_hyperspherical_round_trip_preserves_cost():
     # entering the angle chart gauges each state but cannot change the cost
     s = random_set(3, seed=12)
