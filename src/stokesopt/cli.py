@@ -263,15 +263,15 @@ def cmd_optimize(args) -> int:
     manifest_name = Path(manifest).name
     config = OptimizerConfig(algorithm=args.algo, max_iters=args.max_iter,
                              seed=args.seed)
-    if args.init != "random":
+    if args.init == "random":
+        # the width multi_start runs at: serial below two workers or starts
+        workers = max(1, min(_cli_workers(), args.starts))
+    else:
+        workers = 1
         initial = _initial_for(args.init, args.n, args.seed, args.tol)
         # family constructions can start exactly on a stationary point
         initial = jitter_set(initial, scale=1e-6, seed=args.seed)
 
-    # the width multi_start runs at: serial below two workers or starts
-    workers = 1
-    if args.init == "random":
-        workers = max(1, min(_cli_workers(), args.starts))
     try:
         if args.init == "random":
             result = multi_start(args.n, starts=args.starts, config=config,
