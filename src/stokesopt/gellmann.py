@@ -282,7 +282,7 @@ def states_to_angles(states) -> np.ndarray:
     Any unit state is reachable: each state is first multiplied by a global
     phase so s_0 >= 0 (a no-op when s_0 = 0), then polar angles are peeled
     off the magnitude chain and phases come from the argument of each
-    remaining component.  States are gauged one row at a time.
+    remaining component.
 
     Raises
     ------
@@ -294,19 +294,18 @@ def states_to_angles(states) -> np.ndarray:
         raise DimensionError(
             f"expected an (m, n) state stack with n >= 2, got shape {st.shape}")
     nm1 = st.shape[1] - 1
-    angles = np.zeros((st.shape[0], 2 * nm1))
-    for row, s in zip(angles, st):
-        nrm = np.linalg.norm(s)
-        if not np.isclose(nrm, 1.0, atol=1e-8):
-            raise DimensionError(f"expected a unit state, got norm {nrm:.3e}")
-        s = s / nrm
-        if abs(s[0]) > 0:
-            s = s * (s[0].conjugate() / abs(s[0]))
-        # tail[v] = ||s[v:]||, descending cumulative magnitudes
-        mags = np.abs(s)
-        tail = np.sqrt(np.cumsum(mags[::-1] ** 2)[::-1])
-        for v in range(nm1):
-            head = s[0].real if v == 0 else mags[v]
-            row[v] = np.arctan2(tail[v + 1], head)
-        row[nm1:] = np.angle(s[1:])
-    return angles
+    nrm = np.linalg.norm(st, axis=1)
+    off = ~np.isclose(nrm, 1.0, atol=1e-8)
+    if off.any():
+        raise DimensionError(f"expected a unit state, got norm {nrm[off][0]:.3e}")
+    st = st / nrm[:, None]
+    lead = np.abs(st[:, 0])
+    gauge = np.ones(len(st), dtype=complex)
+    np.divide(st[:, 0].conj(), lead, out=gauge, where=lead > 0)
+    st *= gauge[:, None]
+    # tail[:, v] = ||s[v:]||, descending cumulative magnitudes
+    mags = np.abs(st)
+    tail = np.sqrt(np.cumsum(mags[:, ::-1] ** 2, axis=1)[:, ::-1])
+    head = mags[:, :nm1]
+    head[:, 0] = st[:, 0].real
+    return np.hstack([np.arctan2(tail[:, 1:], head), np.angle(st[:, 1:])])

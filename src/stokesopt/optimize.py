@@ -5,7 +5,10 @@ walks the states directly on the product of unit spheres (tangent gradient
 plus renormalization), "hyperspherical" walks the unconstrained angle chart
 of each state.  Both run the one loop of `spheres`: L-BFGS directions
 searched by Armijo backtracking, stopped once the cost no longer falls.
-A caller sets the algorithm, iteration cap and seed; the rest is fixed.
+The chart passes its diagonal metric diag(J^H J) along with each gradient,
+so its directions start from the inverse metric; on the spheres the metric
+is the unit one.  A caller sets the algorithm, iteration cap and seed; the
+rest is fixed.
 
 The cost gradient is exact and analytic.  The Gram of
 `sets.gram_from_states`, G_jk = (n/(n-1)) (|<s_j|s_k>|^2 - |s_j|^2 |s_k|^2 / n),
@@ -55,6 +58,7 @@ __all__ = [
 ]
 
 ALGORITHMS = ("hyperspherical", "projected")
+_METRIC_FLOOR = 1e-3  # least diagonal entry of the angle chart's metric
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,8 @@ class OptimizerConfig:
     The rest is fixed by the constants in `spheres`: L-BFGS directions
     searched by Armijo backtracking, converged once the cost fell by at most
     1e-12 of itself over 10 iterations or the gradient norm is at most 1e-9 m
-    (m = n^2 - 1).
+    (m = n^2 - 1).  In the angle chart each direction starts from the
+    inverse of the chart's diagonal metric, floored at _METRIC_FLOOR.
     """
 
     algorithm: str = "hyperspherical"
@@ -192,9 +197,25 @@ def gradient_hyperspherical(angles: np.ndarray, n: int,
     chart moves states only tangentially.  `factor` is passed on to
     cost_and_gradient.
     """
+    return _chart_terms(angles, n, factor)[:2]
+
+
+def _chart_terms(angles: np.ndarray, n: int,
+                 factor: np.ndarray | None = None) -> tuple:
+    """gradient_hyperspherical's cost and gradient, then the chart's metric.
+
+    The metric J^H J of the angle chart is diagonal: an angle moves its
+    state orthogonally to every other angle of that state, phi_a by
+    sin(phi_0) ... sin(phi_{a-1}) and theta_a by |s_{a+1}|.  Its diagonal,
+    the squared norms of the Jacobian rows, is floored at _METRIC_FLOOR,
+    since chart poles give zero rows.
+    """
     states, jac = angles_to_states_jacobian(angles)
     xi, grad = cost_and_gradient(states, n, factor)
-    return xi, np.einsum("qc,qpc->qp", grad.conj(), jac).real
+    rows = jac.view(float)
+    metric = np.einsum("qpc,qpc->qp", rows, rows)
+    return (xi, np.einsum("qc,qpc->qp", grad.conj(), jac).real,
+            np.maximum(metric, _METRIC_FLOOR, out=metric))
 
 
 def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> OptimizerRun:
@@ -207,11 +228,11 @@ def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> Optimi
     if on_spheres:
         point0 = np.array(initial.states, dtype=complex)
         cost_fn, factor_at = _memoized_probe(n, lambda st: st)
-        grad_fn = lambda st: gradient_jones(st, n, factor_at(st))
+        grad_fn = lambda st: (*gradient_jones(st, n, factor_at(st)), None)
     else:
         point0 = states_to_angles(initial.states)
         cost_fn, factor_at = _memoized_probe(n, angles_to_states)
-        grad_fn = lambda a: gradient_hyperspherical(a, n, factor_at(a))
+        grad_fn = lambda a: _chart_terms(a, n, factor_at(a))
 
     initial_xi = _cost_only(np.array(initial.states, dtype=complex), n)
     res = spheres.projected_descent(

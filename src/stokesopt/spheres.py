@@ -9,7 +9,12 @@ The launch-set optimizer drives this module, supplying its own
 cost/gradient callables for either parameterization.  Each iteration
 searches the L-BFGS direction (Nocedal 1980; Liu & Nocedal 1989) by plain
 Armijo backtracking; the memory, line-search constants and stop rule are the
-fixed module constants below.
+fixed module constants below.  A chart may pass the diagonal metric of its
+coordinates along with each gradient; the two-loop recursion then starts
+from the inverse metric, scaled, instead of a multiple of the identity
+(Absil, Mahony & Sepulchre 2008, ch. 3), so curvilinear coordinates whose
+scale varies from angle to angle do not slow the descent.  The spheres use
+the unit metric.
 """
 from __future__ import annotations
 
@@ -75,17 +80,21 @@ def armijo_step(cost_fn: Callable[[np.ndarray], float],
     return t, None, f0
 
 
-def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
+def _lbfgs_direction(g: np.ndarray, pairs: list,
+                     metric: np.ndarray | None) -> np.ndarray:
     """Two-loop recursion for -H g from the (s, y) pairs, oldest first, with
-    H0 = s.y / y.y of the newest; -g when there are none.  Complex entries
-    count as pairs of reals: every inner product is Re vdot."""
+    H0 = gamma M^-1, gamma = s.y / y.M^-1 y of the newest pair; -g when
+    there are none.  M is the diagonal metric of the coordinates, shaped
+    like g, and None stands for the unit metric (H0 = s.y / y.y).  Complex
+    entries count as pairs of reals: every inner product is Re vdot."""
     q, alphas = g, []
     for s, y in reversed(pairs):
         alphas.append(np.vdot(s, q).real / np.vdot(y, s).real)
         q = q - alphas[-1] * y
     if pairs:
         s, y = pairs[-1]
-        q = (np.vdot(s, y).real / np.vdot(y, y).real) * q
+        hy, hq = (y, q) if metric is None else (y / metric, q / metric)
+        q = (np.vdot(s, y).real / np.vdot(y, hy).real) * hq
     for (s, y), a in zip(pairs, reversed(alphas)):
         q = q + (a - np.vdot(y, q).real / np.vdot(y, s).real) * s
     return -q
@@ -104,7 +113,7 @@ class DescentResult:
 
 
 def projected_descent(cost_fn: Callable[[np.ndarray], float],
-                      grad_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
+                      grad_fn: Callable[[np.ndarray], tuple],
                       states0: np.ndarray,
                       *,
                       grad_tol: float,
@@ -125,15 +134,18 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
     itself over the last _WINDOW iterations.  Other stops are "max_iters",
     "line_search_stall" and, aborted, "singular_iterate".
 
-    grad_fn must return (cost, gradient) with the gradient already in the
-    parameterization's own coordinates (tangent-projected for the sphere
-    case); cost_fn alone is used for the cheaper line-search probes.
+    grad_fn must return (cost, gradient, metric) with the gradient already
+    in the parameterization's own coordinates (tangent-projected for the
+    sphere case); cost_fn alone is used for the cheaper line-search probes.
+    metric is the diagonal of the coordinates' metric at that point, shaped
+    like the gradient, or None for the unit metric of the spheres; the next
+    L-BFGS direction starts from its scaled inverse (`_lbfgs_direction`).
     """
     # identity in the chart, so the probe memo sees the very array it probed
     retract = normalize_rows if on_spheres else (lambda point: point)
     states = retract(np.array(states0))
     try:
-        f, g = grad_fn(states)
+        f, g, metric = grad_fn(states)
     except ArithmeticError:
         # a singular start aborts before its first iteration
         return DescentResult(states=states, cost=np.inf, grad_norm=np.inf,
@@ -152,7 +164,7 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
             stop_reason = "converged"
             break
         it += 1
-        direction = _lbfgs_direction(g, pairs)
+        direction = _lbfgs_direction(g, pairs, metric)
         slope = np.vdot(g, direction).real
         if not slope < 0.0:
             pairs.clear()
@@ -165,7 +177,7 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
         step, g_old = trial - states, g
         states, f = trial, ft
         try:
-            _, g = grad_fn(states)
+            _, g, metric = grad_fn(states)
         except ArithmeticError:
             stop_reason = "singular_iterate"
             break
