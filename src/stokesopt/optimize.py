@@ -200,8 +200,8 @@ def gradient_hyperspherical(angles: np.ndarray, n: int,
     return _chart_terms(angles, n, factor)[:2]
 
 
-def _chart_terms(angles: np.ndarray, n: int,
-                 factor: np.ndarray | None = None) -> tuple:
+def _chart_terms(angles: np.ndarray, n: int, factor: np.ndarray | None = None
+                 ) -> tuple[float, np.ndarray, np.ndarray]:
     """gradient_hyperspherical's cost and gradient, then the chart's metric.
 
     The metric J^H J of the angle chart is diagonal: an angle moves its

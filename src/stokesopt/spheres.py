@@ -113,7 +113,8 @@ class DescentResult:
 
 
 def projected_descent(cost_fn: Callable[[np.ndarray], float],
-                      grad_fn: Callable[[np.ndarray], tuple],
+                      grad_fn: Callable[[np.ndarray], tuple[float, np.ndarray,
+                                                           np.ndarray | None]],
                       states0: np.ndarray,
                       *,
                       grad_tol: float,

@@ -303,9 +303,9 @@ def test_non_descent_direction_falls_back_to_minus_gradient(monkeypatch,
 
 def test_design_chart_starts_all_converge():
     # every start of the benchmark's n=4 angle-chart pass stops on the
-    # stop rule, well before the cap, at the known optimum; without the
-    # chart-metric start of each L-BFGS direction starts took 134-278
-    # iterations
+    # stop rule, well before the cap, at the known optimum; starts take
+    # 73-99 iterations from the chart-metric H0 and took 134-278 from a
+    # unit one
     res = multi_start(4, 8, OptimizerConfig(algorithm="hyperspherical",
                                             max_iters=2000, seed=0))
     for run in res.runs:
