@@ -67,7 +67,6 @@ from .optimize import (
 )
 from .sets import (
     LaunchSet,
-    canonicalize_phases,
     load_set,
     mub_gram,
     mub_set,
@@ -78,7 +77,6 @@ from .sets import (
     simplex_set,
     yang_nolan,
     _is_prime,
-    _states_to_json,
 )
 
 GEN_FAMILIES = ("yang", "mub", "sic", "simplex", "random")
@@ -190,22 +188,16 @@ def cmd_gen_set(args) -> int:
     manifest = _manifest_path(out)
     manifest_name = Path(manifest).name
     if args.family == "simplex":
-        sx = simplex_set(args.n, seed=args.seed)
-        _write_json(out, {
-            "n": args.n,
-            "family": "simplex",
-            "meta": {"seed": args.seed, "manifest": manifest_name},
-            "vectors": _states_to_json(canonicalize_phases(sx.states)),
-        })
-        summary = {"family": "simplex", "n": args.n, "states": args.n,
-                   "out": out}
+        s = simplex_set(args.n, seed=args.seed)
     else:
         s = _build_family(args.family, args.n, args.seed, args.tol)
-        s.meta["manifest"] = manifest_name
-        save_set(s, out)
+    s.meta["manifest"] = manifest_name
+    save_set(s, out)
+    summary = {"family": s.family, "n": s.n, "states": len(s.states),
+               "out": out}
+    if args.family != "simplex":
         mt = metrics(s)
-        summary = {"family": s.family, "n": s.n, "states": s.m,
-                   "xi": mt.xi, "penalty_db": mt.penalty_db, "out": out}
+        summary.update(xi=mt.xi, penalty_db=mt.penalty_db)
         if "residual" in s.meta:
             summary["residual"] = s.meta["residual"]
     _write_manifest(args, manifest, [out], started)

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SingularSetError
-from .sets import COND_LIMIT, LaunchSet, _gram_condition, gram_from_states
+from .sets import LaunchSet, gram_from_states
 
 __all__ = [
     "COND_LIMIT",
@@ -35,6 +35,11 @@ __all__ = [
     "metrics_from_gram",
     "variance_prediction",
 ]
+
+
+# operative numerical-singularity threshold on cond2(G) = kappa(S)^2: the
+# metrics reject a set above it
+COND_LIMIT = 1e14
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,11 @@ def _xi(linv: np.ndarray) -> float:
     """Tr(G^-1) = ||L^-1||_F^2 from the factor `_inverse_factor` returns."""
     flat = linv.ravel("K")
     return float(flat @ flat)
+
+
+def _gram_condition(lam: np.ndarray) -> float:
+    """cond2(G) from the ascending eigenvalues of G; inf unless G is PD."""
+    return math.inf if lam[0] <= 0.0 else float(lam[-1] / lam[0])
 
 
 def _check_conditioning(lam: np.ndarray) -> None:

@@ -20,10 +20,9 @@ coordinates.
 Every cost and gradient goes through the one kernel of `metrics`, the
 inverse Cholesky factor L^-1 of that Gram (numpy Cholesky, then a blocked
 triangular inverse), with xi = ||L^-1||_F^2, so the optimizer and `metrics` agree to the last bit.
-Inside `descend` the line-search probes keep L^-1 of their latest probe: the
-gradient after an accepted Armijo step is taken at that very point and
-reuses it, so each iteration factorizes once per probe and never again for
-its gradient.
+Each line-search probe returns its L^-1 along with its cost, and the Armijo
+search hands the accepted probe's factor to the gradient at that point, so
+each iteration factorizes once per probe and never again for its gradient.
 """
 from __future__ import annotations
 
@@ -145,38 +144,13 @@ def cost_and_gradient(states: np.ndarray, n: int,
     return _xi(linv), grad
 
 
-def _cost_only(states: np.ndarray, n: int) -> float:
+def _probe(states: np.ndarray, n: int) -> tuple[float, np.ndarray | None]:
+    """Cost Tr(G^-1) and L^-1 of the states' Gram; (inf, None) when singular."""
     try:
-        return _xi(_factor(states, n))
+        factor = _factor(states, n)
     except SingularSetError:
-        return math.inf
-
-
-def _memoized_probe(n: int, to_states):
-    """Line-search cost probe that keeps the factor of its latest probe.
-
-    Returns (cost_fn, factor_at).  cost_fn(point) is Tr(G^-1) at
-    to_states(point), inf when singular.  factor_at(point) is that probe's
-    L^-1 when `point` is the very array probed last, else None.
-    armijo_step returns the array it accepted, which is always its last
-    probe, so the gradient after each accepted step reuses the factor
-    instead of rebuilding the Gram and its Cholesky factor.
-    """
-    last = []
-
-    def cost_fn(point):
-        last.clear()
-        try:
-            factor = _factor(to_states(point), n)
-        except SingularSetError:
-            return math.inf
-        last.append((point, factor))
-        return _xi(factor)
-
-    def factor_at(point):
-        return last[0][1] if last and last[0][0] is point else None
-
-    return cost_fn, factor_at
+        return math.inf, None
+    return _xi(factor), factor
 
 
 def gradient_jones(states: np.ndarray, n: int,
@@ -187,8 +161,9 @@ def gradient_jones(states: np.ndarray, n: int,
 
 
 def gradient_hyperspherical(angles: np.ndarray, n: int,
-                            factor: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Cost and gradient in the stacked angle chart.
+                            factor: np.ndarray | None = None
+                            ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Cost, gradient and metric in the stacked angle chart.
 
     `angles` is a stacked (m, 2(n-1)) angle array in the layout of
     `gellmann`; one chart evaluation gives the states and the analytic
@@ -196,13 +171,6 @@ def gradient_hyperspherical(angles: np.ndarray, n: int,
     that Jacobian; radial components vanish in the contraction because the
     chart moves states only tangentially.  `factor` is passed on to
     cost_and_gradient.
-    """
-    return _chart_terms(angles, n, factor)[:2]
-
-
-def _chart_terms(angles: np.ndarray, n: int, factor: np.ndarray | None = None
-                 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """gradient_hyperspherical's cost and gradient, then the chart's metric.
 
     The metric J^H J of the angle chart is diagonal: an angle moves its
     state orthogonally to every other angle of that state, phi_a by
@@ -227,14 +195,14 @@ def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> Optimi
     on_spheres = config.algorithm == "projected"
     if on_spheres:
         point0 = np.array(initial.states, dtype=complex)
-        cost_fn, factor_at = _memoized_probe(n, lambda st: st)
-        grad_fn = lambda st: (*gradient_jones(st, n, factor_at(st)), None)
+        cost_fn = lambda st: _probe(st, n)
+        grad_fn = lambda st, factor: (*gradient_jones(st, n, factor), None)
     else:
         point0 = states_to_angles(initial.states)
-        cost_fn, factor_at = _memoized_probe(n, angles_to_states)
-        grad_fn = lambda a: _chart_terms(a, n, factor_at(a))
+        cost_fn = lambda a: _probe(angles_to_states(a), n)
+        grad_fn = lambda a, factor: gradient_hyperspherical(a, n, factor)
 
-    initial_xi = _cost_only(np.array(initial.states, dtype=complex), n)
+    initial_xi = _probe(np.array(initial.states, dtype=complex), n)[0]
     res = spheres.projected_descent(
         cost_fn, grad_fn, point0,
         grad_tol=1e-9 * m, max_iters=config.max_iters, on_spheres=on_spheres)
@@ -350,9 +318,9 @@ def gradient_check(n: int, algorithm: str = "projected", trials: int = 3,
             _, an = cost_and_gradient(states, n)
         else:
             point, to_states = states_to_angles(states), angles_to_states
-            _, an = gradient_hyperspherical(point, n)
+            _, an, _ = gradient_hyperspherical(point, n)
         reals = point.view(float)
-        cost_at = lambda r: _cost_only(to_states(r.view(point.dtype)), n)
+        cost_at = lambda r: _probe(to_states(r.view(point.dtype)), n)[0]
         fd = np.empty_like(reals)
         for idx in np.ndindex(reals.shape):
             bump = np.zeros_like(reals)

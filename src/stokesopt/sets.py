@@ -10,7 +10,7 @@ This module builds the named families:
     sic_search   symmetric informationally complete set (equal squared
                  overlaps 1/(n+1)): the Weyl-Heisenberg orbit of a fiducial
                  found by Levenberg-Marquardt, last vector dropped
-    random_set   uniform random states, redrawn until G is well conditioned
+    random_set   uniform random states, one draw per seed
     simplex_set  an orthonormal basis (n states), used for the common-mode
                  delay estimate; its Stokes images sum to zero
 
@@ -29,10 +29,6 @@ import numpy as np
 from .errors import ConfigError, DimensionError, SearchFailedError
 from .gellmann import jones_to_stokes_batch
 from .seeding import rng_for
-
-# operative numerical-singularity threshold on cond2(G) = kappa(S)^2: the
-# metrics reject a set above it, and random_set redraws one
-COND_LIMIT = 1e14
 
 __all__ = [
     "LaunchSet",
@@ -90,10 +86,13 @@ class LaunchSet:
 
 @dataclass
 class SimplexSet:
-    """An orthonormal basis used for common-mode (tau_0) estimation."""
+    """An orthonormal basis used for common-mode (tau_0) estimation; its
+    family and meta are written by `save_set` as a launch set's are."""
 
     n: int
     states: np.ndarray
+    family: str = "simplex"
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         st = np.asarray(self.states, dtype=complex)
@@ -120,11 +119,6 @@ def gram_from_states(states: np.ndarray, n: int) -> np.ndarray:
     # |<s_j|s_k>|^2 overwrites the overlaps: one m x m complex buffer
     sq = np.multiply(ov.conj(), ov, out=ov).real
     return (n / (n - 1.0)) * (sq - nrm2[:, None] * nrm2 / n)
-
-
-def _gram_condition(lam: np.ndarray) -> float:
-    """cond2(G) from the ascending eigenvalues of G; inf unless G is PD."""
-    return math.inf if lam[0] <= 0.0 else float(lam[-1] / lam[0])
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +439,7 @@ def simplex_set(n: int, seed: int = 0) -> SimplexSet:
         raise DimensionError(f"need at least 2 modes, got n={n}")
     # a stream of its own: rng_for(seed) builds a synthetic fiber's unitary
     u = haar_unitary(n, rng_for(seed, 501))
-    return SimplexSet(n=n, states=u.T.copy())
+    return SimplexSet(n=n, states=u.T.copy(), meta={"seed": seed})
 
 
 def canonicalize_phases(states: np.ndarray) -> np.ndarray:
@@ -485,7 +479,7 @@ def _states_from_json(vectors, n: int, path: str) -> np.ndarray:
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
-def save_set(s: LaunchSet, path) -> None:
+def save_set(s: LaunchSet | SimplexSet, path) -> None:
     """Write the shared JSON schema; states phase-canonicalized first."""
     doc = {
         "n": int(s.n),

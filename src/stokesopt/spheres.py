@@ -51,33 +51,34 @@ def tangent_project(states: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad - radial[:, None] * states
 
 
-def armijo_step(cost_fn: Callable[[np.ndarray], float],
+def armijo_step(cost_fn: Callable[[np.ndarray], tuple[float, object]],
                 states: np.ndarray,
                 f0: float,
                 direction: np.ndarray,
                 slope: float,
                 retract: Callable[[np.ndarray], np.ndarray],
-                ) -> tuple[float, np.ndarray | None, float]:
+                ) -> tuple[float, np.ndarray | None, object]:
     """Backtracking line search along `direction` with retraction.
 
     Accepts the first t = _FIRST_STEP * _BACKTRACK_FACTOR^k with
     f(retract(x + t d)) <= f0 + _ARMIJO_FRACTION * t * slope (slope is the
-    directional derivative, negative for a descent direction).
+    directional derivative, negative for a descent direction).  cost_fn(p)
+    returns (f(p), work), work being whatever the probe computed at p that
+    a gradient there may reuse.
 
     Returns
     -------
-    (t, new_states, new_cost); new_states is None when no acceptable step
-    exists above the step floor.  An accepted new_states is the very array
-    passed to the last cost_fn call, so a cost_fn may keep work for it.
+    (new_cost, new_states, work) of the accepted probe, or (f0, None, None)
+    when no acceptable step exists above the step floor.
     """
     t = _FIRST_STEP
     while t > _STEP_FLOOR:
         trial = retract(states + t * direction)
-        ft = cost_fn(trial)
+        ft, work = cost_fn(trial)
         if np.isfinite(ft) and ft <= f0 + _ARMIJO_FRACTION * t * slope:
-            return t, trial, ft
+            return ft, trial, work
         t *= _BACKTRACK_FACTOR
-    return t, None, f0
+    return f0, None, None
 
 
 def _lbfgs_direction(g: np.ndarray, pairs: list,
@@ -112,9 +113,10 @@ class DescentResult:
     stop_reason: str
 
 
-def projected_descent(cost_fn: Callable[[np.ndarray], float],
-                      grad_fn: Callable[[np.ndarray], tuple[float, np.ndarray,
-                                                           np.ndarray | None]],
+def projected_descent(cost_fn: Callable[[np.ndarray], tuple[float, object]],
+                      grad_fn: Callable[[np.ndarray, object],
+                                        tuple[float, np.ndarray,
+                                              np.ndarray | None]],
                       states0: np.ndarray,
                       *,
                       grad_tol: float,
@@ -135,18 +137,19 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
     itself over the last _WINDOW iterations.  Other stops are "max_iters",
     "line_search_stall" and, aborted, "singular_iterate".
 
-    grad_fn must return (cost, gradient, metric) with the gradient already
-    in the parameterization's own coordinates (tangent-projected for the
-    sphere case); cost_fn alone is used for the cheaper line-search probes.
-    metric is the diagonal of the coordinates' metric at that point, shaped
-    like the gradient, or None for the unit metric of the spheres; the next
-    L-BFGS direction starts from its scaled inverse (`_lbfgs_direction`).
+    cost_fn is the line-search probe of `armijo_step`.  grad_fn(point,
+    work) must return (cost, gradient, metric) with the gradient already in
+    the parameterization's own coordinates (tangent-projected for the
+    sphere case); work is what the accepted probe at that point returned,
+    None at the start.  metric is the diagonal of the coordinates' metric
+    at that point, shaped like the gradient, or None for the unit metric of
+    the spheres; the next L-BFGS direction starts from its scaled inverse
+    (`_lbfgs_direction`).
     """
-    # identity in the chart, so the probe memo sees the very array it probed
     retract = normalize_rows if on_spheres else (lambda point: point)
     states = retract(np.array(states0))
     try:
-        f, g, metric = grad_fn(states)
+        f, g, metric = grad_fn(states, None)
     except ArithmeticError:
         # a singular start aborts before its first iteration
         return DescentResult(states=states, cost=np.inf, grad_norm=np.inf,
@@ -170,15 +173,15 @@ def projected_descent(cost_fn: Callable[[np.ndarray], float],
         if not slope < 0.0:
             pairs.clear()
             direction, slope = -g, -gnorm * gnorm
-        _, trial, ft = armijo_step(cost_fn, states, f, direction, slope,
-                                   retract)
+        ft, trial, work = armijo_step(cost_fn, states, f, direction, slope,
+                                      retract)
         if trial is None:
             stop_reason = "line_search_stall"
             break
         step, g_old = trial - states, g
         states, f = trial, ft
         try:
-            _, g, metric = grad_fn(states)
+            _, g, metric = grad_fn(states, work)
         except ArithmeticError:
             stop_reason = "singular_iterate"
             break

@@ -97,6 +97,7 @@ def test_gen_set_simplex_writes_orthonormal_basis(capsys):
     assert json.loads(capsys.readouterr().out)["states"] == 3
     doc = read_json("sx.json")
     assert doc["family"] == "simplex"
+    assert doc["meta"] == {"manifest": "sx.manifest.json", "seed": 4}
     arr = np.asarray(doc["vectors"], dtype=float)
     states = arr[:, :, 0] + 1j * arr[:, :, 1]
     assert states.shape == (3, 3)

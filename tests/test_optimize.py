@@ -21,9 +21,8 @@ from stokesopt.optimize import (
     gradient_hyperspherical,
     gradient_jones,
     multi_start,
-    _cost_only,
     _factor,
-    _memoized_probe,
+    _probe,
 )
 from stokesopt.sets import (
     LaunchSet,
@@ -96,7 +95,7 @@ def test_angle_gradient_finite_and_zero_at_pole():
     rng = rng_for(31)
     angles = rng.uniform(0.2, 1.4, size=(m, 2 * (n - 1)))
     angles[0, 0] = 0.0
-    xi, g = gradient_hyperspherical(angles, n)
+    xi, g, _ = gradient_hyperspherical(angles, n)
     assert np.all(np.isfinite(g))
     states = angles_to_states(angles)
     assert abs(states[0, 1]) == 0.0 and abs(states[0, 2]) == 0.0
@@ -129,7 +128,7 @@ def test_chart_metric_is_the_diagonal_jacobian_gram(start):
     assert np.max(np.abs(off)) <= 1e-14
     analytic = _analytic_chart_metric(angles)
     np.testing.assert_allclose(diag, analytic, rtol=1e-12, atol=1e-15)
-    _, _, metric = optimize._chart_terms(angles, n)
+    _, _, metric = gradient_hyperspherical(angles, n)
     np.testing.assert_allclose(
         metric, np.maximum(diag, optimize._METRIC_FLOOR), rtol=1e-14)
     if start == "mub pole":
@@ -198,10 +197,38 @@ def test_trajectory_logs_each_iteration_once():
     np.testing.assert_array_equal(capped.trajectory[:, 0], np.arange(6))
     # a probe cost that never falls stalls the first line search
     stalled = spheres.projected_descent(
-        lambda x: 1e9, lambda x: (float(x @ x), 2.0 * x, None), np.ones(3),
-        grad_tol=0.0, max_iters=50, on_spheres=False)
+        lambda x: (1e9, None), lambda x, _: (float(x @ x), 2.0 * x, None),
+        np.ones(3), grad_tol=0.0, max_iters=50, on_spheres=False)
     assert stalled.stop_reason == "line_search_stall"
     np.testing.assert_array_equal(stalled.trajectory[:, 0], [0, 1])
+
+
+def test_gradient_raising_after_an_accepted_step_aborts():
+    # the start and the first accepted step get gradients; the gradient at
+    # the second accepted point raises, which ends iteration 2 as singular
+    scale = np.array([1.0, 3.0, 10.0])
+    grad_calls = []
+
+    def cost_fn(x):
+        return float(x @ (scale * x)), None
+
+    def grad_fn(x, work):
+        grad_calls.append(x)
+        if len(grad_calls) == 3:
+            raise ArithmeticError("singular")
+        return cost_fn(x)[0], 2.0 * scale * x, None
+
+    run = spheres.projected_descent(cost_fn, grad_fn, np.ones(3),
+                                    grad_tol=0.0, max_iters=50,
+                                    on_spheres=False)
+    assert run.stop_reason == "singular_iterate"
+    assert run.aborted and not run.converged
+    assert run.iterations == 2
+    np.testing.assert_array_equal(run.trajectory[:, 0], [0, 1, 2])
+    # the last accepted point and its cost are kept
+    assert run.states is grad_calls[2]
+    assert run.cost == cost_fn(run.states)[0] == run.trajectory[2, 1]
+    assert run.cost < run.trajectory[1, 1] < run.trajectory[0, 1]
 
 
 def test_descent_converges_from_nearly_singular_start():
@@ -386,7 +413,7 @@ def test_hyperspherical_round_trip_preserves_cost():
     # entering the angle chart gauges each state but cannot change the cost
     s = random_set(3, seed=12)
     angles = states_to_angles(s.states)
-    xi_angles, _ = gradient_hyperspherical(angles, 3)
+    xi_angles, _, _ = gradient_hyperspherical(angles, 3)
     xi_direct, _ = cost_and_gradient(np.array(s.states), 3)
     np.testing.assert_allclose(xi_angles, xi_direct, rtol=1e-10)
 
@@ -445,11 +472,9 @@ def test_every_xi_route_gives_the_same_float():
     assert len(sets) == 31
     for s in sets:
         xi = metrics(s).xi
-        probe, _ = _memoized_probe(s.n, lambda st: st)
         assert cost(s) == xi
         assert cost_and_gradient(s.states, s.n)[0] == xi
-        assert _cost_only(s.states, s.n) == xi
-        assert probe(s.states) == xi
+        assert _probe(s.states, s.n)[0] == xi
 
 
 def test_inverse_gram_singular_message():
@@ -469,33 +494,40 @@ def test_cost_and_gradient_with_reused_factor_is_bitwise_fresh():
         assert np.array_equal(grad_r, grad)
 
 
-def test_probe_memo_serves_only_the_last_probed_array():
+def test_probe_returns_the_cost_and_factor_of_its_states():
     n = 4
-    cost_fn, factor_at = _memoized_probe(n, lambda st: st)
     a = np.array(random_set(n, seed=1).states)
-    b = np.array(random_set(n, seed=2).states)
-    assert factor_at(a) is None
-    xi = cost_fn(a)
+    xi, factor = _probe(a, n)
     assert xi == cost_and_gradient(a, n)[0]
-    assert factor_at(a) is not None
-    # equal values in another array, or any other point: computed afresh
-    assert factor_at(a.copy()) is None
-    assert factor_at(b) is None
-    cost_fn(b)
-    assert factor_at(a) is None
-    assert factor_at(b) is not None
+    assert factor.tobytes() == _factor(a, n).tobytes()
 
 
-def test_singular_probe_leaves_no_entry():
-    n = 3
-    cost_fn, factor_at = _memoized_probe(n, lambda st: st)
-    good = np.array(random_set(n, seed=4).states)
-    cost_fn(good)
-    singular = good.copy()
-    singular[0] = 0.0
-    assert cost_fn(singular) == math.inf
-    assert factor_at(singular) is None
-    assert factor_at(good) is None
+def test_singular_probe_returns_no_factor():
+    states = np.array(random_set(3, seed=4).states)
+    states[0] = 0.0
+    assert _probe(states, 3) == (math.inf, None)
+
+
+def test_armijo_step_hands_over_the_accepted_probe():
+    # the line search returns the cost, point and work of the probe it
+    # accepts, which is its last; a stall returns f0 and neither
+    probes = []
+
+    def cost_fn(x):
+        probes.append((float(x @ x), x, object()))
+        return probes[-1][0], probes[-1][2]
+
+    x0 = np.array([1.0, -2.0, 0.5])
+    f0 = float(x0 @ x0)
+    out = spheres.armijo_step(cost_fn, x0, f0, -8.0 * x0, -16.0 * f0,
+                              lambda x: x)
+    assert len(probes) > 1
+    ft, trial, work = probes[-1]
+    assert out[0] == ft and out[1] is trial and out[2] is work
+    assert ft < f0
+    stall = spheres.armijo_step(lambda x: (math.inf, object()), x0, f0,
+                                -x0, -f0, lambda x: x)
+    assert stall == (f0, None, None)
 
 
 @pytest.mark.parametrize("algorithm", ["hyperspherical", "projected"])

@@ -5,15 +5,24 @@ run would only list it among its absent names.  This check resolves every
 quoted `stokesopt.` name in perfbench/child.py the way the tracer does
 (import the module, then get the attribute), and checks that the descent
 counters of the probes read only fields an OptimizerRun has; it only reads
-that file.
+that file.  A probe that resolves but is never called records nothing, so
+a short descent of each algorithm must call every `optimize` attribute the
+benchmark wraps on that path, and the line search must return its accepted
+point where the benchmark's Armijo adapter reads it.
 """
 import ast
 import dataclasses
 import importlib
+import math
 import re
 from pathlib import Path
 
-from stokesopt.optimize import OptimizerRun
+import numpy as np
+import pytest
+
+from stokesopt import optimize, spheres
+from stokesopt.optimize import OptimizerConfig, OptimizerRun
+from stokesopt.sets import random_set
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -48,3 +57,51 @@ def test_descent_counters_read_existing_run_fields():
                     "converged"}
     fields = {f.name for f in dataclasses.fields(OptimizerRun)}
     assert read - fields == set()
+
+
+# the optimize attributes each descent calls; random_set and rng_for serve
+# multi_start and jitter_set, not descend
+DESCENT_PROBES = {
+    "projected": {"descend", "gradient_jones", "cost_and_gradient"},
+    "hyperspherical": {"descend", "gradient_hyperspherical",
+                       "cost_and_gradient", "angles_to_states",
+                       "angles_to_states_jacobian"},
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(DESCENT_PROBES))
+def test_descent_calls_every_probe_of_its_path(monkeypatch, algorithm):
+    wrapped = {name.rpartition(".")[2] for name in _probe_names()
+               if name.rpartition(".")[0] == "stokesopt.optimize"}
+    assert DESCENT_PROBES[algorithm] <= wrapped
+    calls = dict.fromkeys(wrapped, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in wrapped:
+        monkeypatch.setattr(optimize, name,
+                            counting(name, getattr(optimize, name)))
+    optimize.descend(random_set(3, seed=8),
+                     OptimizerConfig(algorithm=algorithm, max_iters=3))
+    assert {name for name, k in calls.items() if k} >= DESCENT_PROBES[algorithm]
+
+
+def test_armijo_step_returns_the_accepted_point_second():
+    x0 = np.array([1.0, -2.0])
+    f0 = float(x0 @ x0)
+    probed = []
+
+    def cost_fn(x):
+        probed.append(x)
+        return float(x @ x), None
+
+    result = spheres.armijo_step(cost_fn, x0, f0, -x0, -2.0 * f0,
+                                 lambda x: x)
+    assert result[1] is probed[-1]
+    stall = spheres.armijo_step(lambda x: (math.inf, None), x0, f0, -x0,
+                                -2.0 * f0, lambda x: x)
+    assert stall[1] is None
