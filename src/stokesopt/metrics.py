@@ -126,19 +126,6 @@ def _xi(linv: np.ndarray) -> float:
     return float(flat @ flat)
 
 
-def _gram_condition(lam: np.ndarray) -> float:
-    """cond2(G) from the ascending eigenvalues of G; inf unless G is PD."""
-    return math.inf if lam[0] <= 0.0 else float(lam[-1] / lam[0])
-
-
-def _check_conditioning(lam: np.ndarray) -> None:
-    cond = _gram_condition(lam)
-    if cond > COND_LIMIT:
-        raise SingularSetError(
-            f"launch set is numerically singular: cond(G) = {cond:.3e} "
-            f"exceeds {COND_LIMIT:.0e}")
-
-
 def cost(s: LaunchSet) -> float:
     """Noise-amplification cost xi = Tr(G^-1).
 
@@ -153,19 +140,6 @@ def cost(s: LaunchSet) -> float:
 def penalty_db(penalty: float) -> float:
     """Penalty in dB, 10 log10(delta)."""
     return 10.0 * math.log10(penalty)
-
-
-def _metrics_from_eigs(n: int, lam: np.ndarray, xi: float) -> SetMetrics:
-    m = n * n - 1
-    sv = np.sqrt(np.maximum(lam[::-1], 0.0))
-    pen = xi / m
-    return SetMetrics(
-        n=n, m=m, xi=xi, penalty=pen, penalty_db=penalty_db(pen),
-        condition_number=float(sv[0] / sv[-1]),
-        singular_values=sv,
-        log_volume=float(0.5 * np.sum(np.log(lam))),
-        bound_ok=bool(xi >= m - 1e-6),
-    )
 
 
 def metrics(s: LaunchSet) -> SetMetrics:
@@ -191,9 +165,22 @@ def metrics_from_gram(g: np.ndarray) -> SetMetrics:
     n = int(round(math.sqrt(m + 1)))
     if n * n - 1 != m or n < 2:
         raise DimensionError(f"Gram size {m} is not n^2-1 for any n >= 2")
-    lam = np.linalg.eigvalsh(g)
-    _check_conditioning(lam)
-    return _metrics_from_eigs(n, lam, _xi(_inverse_factor(g)))
+    lam = np.linalg.eigvalsh(g)  # ascending; cond2(G) is inf unless G is PD
+    cond = math.inf if lam[0] <= 0.0 else float(lam[-1] / lam[0])
+    if cond > COND_LIMIT:
+        raise SingularSetError(
+            f"launch set is numerically singular: cond(G) = {cond:.3e} "
+            f"exceeds {COND_LIMIT:.0e}")
+    xi = _xi(_inverse_factor(g))
+    sv = np.sqrt(np.maximum(lam[::-1], 0.0))
+    pen = xi / m
+    return SetMetrics(
+        n=n, m=m, xi=xi, penalty=pen, penalty_db=penalty_db(pen),
+        condition_number=float(sv[0] / sv[-1]),
+        singular_values=sv,
+        log_volume=float(0.5 * np.sum(np.log(lam))),
+        bound_ok=bool(xi >= m - 1e-6),
+    )
 
 
 def variance_prediction(s: LaunchSet, sigma_tg_sq: float) -> float:

@@ -86,7 +86,8 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerRun:
-    """One descent, start to finish."""
+    """One descent, start to finish; iterations_used, final_xi and grad_norm
+    are the trajectory's last row."""
 
     final_set: LaunchSet
     algorithm: str
@@ -203,31 +204,30 @@ def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> Optimi
         grad_fn = lambda a, factor: gradient_hyperspherical(a, n, factor)
 
     initial_xi = _probe(np.array(initial.states, dtype=complex), n)[0]
-    res = spheres.projected_descent(
+    point, stop_reason, trajectory = spheres.projected_descent(
         cost_fn, grad_fn, point0,
         grad_tol=1e-9 * m, max_iters=config.max_iters, on_spheres=on_spheres)
 
-    if on_spheres:
-        final_states = res.states
-    else:
-        final_states = angles_to_states(res.states)
-    final_states = canonicalize_phases(final_states)
+    final_states = canonicalize_phases(
+        point if on_spheres else angles_to_states(point))
+    it, final_xi, grad_norm = trajectory[-1].tolist()
+    converged = stop_reason == "converged"
     meta = {
         "algorithm": config.algorithm,
         "initial_family": initial.family,
         "initial_xi": initial_xi,
-        "final_xi": res.cost,
-        "iterations": res.iterations,
-        "converged": res.converged,
+        "final_xi": final_xi,
+        "iterations": int(it),
+        "converged": converged,
     }
     final_set = LaunchSet(n=n, states=final_states, family="optimized",
                           meta=meta)
     return OptimizerRun(
         final_set=final_set, algorithm=config.algorithm,
-        initial_xi=initial_xi, final_xi=res.cost, grad_norm=res.grad_norm,
-        iterations_used=res.iterations, phase1_iters=0,
-        converged=res.converged, aborted=res.aborted,
-        stop_reason=res.stop_reason, trajectory=res.trajectory)
+        initial_xi=initial_xi, final_xi=final_xi, grad_norm=grad_norm,
+        iterations_used=int(it), phase1_iters=0, converged=converged,
+        aborted=stop_reason == "singular_iterate", stop_reason=stop_reason,
+        trajectory=trajectory)
 
 
 def jitter_set(s: LaunchSet, scale: float = 1e-6, seed: int = 0) -> LaunchSet:

@@ -449,13 +449,12 @@ def canonicalize_phases(states: np.ndarray) -> np.ndarray:
     a save/load/save cycle reproduces the file byte for byte.
     """
     states = np.array(states, dtype=complex)
-    for row in states:
-        idx = int(np.argmax(np.abs(row)))
-        a = row[idx]
-        if (a.imag == 0.0 and a.real >= 0.0) or abs(a) == 0.0:
-            continue
-        row *= a.conjugate() / abs(a)
-        row[idx] = abs(a)
+    idx = np.argmax(np.abs(states), axis=1)
+    a = states[np.arange(len(states)), idx]
+    mag = np.hypot(a.real, a.imag)  # bit for bit the scalar abs(a)
+    rows = np.flatnonzero(~((a.imag == 0.0) & (a.real >= 0.0)) & (mag != 0.0))
+    states[rows] *= (np.conj(a[rows]) / mag[rows])[:, None]
+    states[rows, idx[rows]] = mag[rows]
     return states
 
 

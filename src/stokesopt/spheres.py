@@ -18,7 +18,6 @@ the unit metric.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "normalize_rows",
     "tangent_project",
     "armijo_step",
-    "DescentResult",
     "projected_descent",
 ]
 
@@ -101,18 +99,6 @@ def _lbfgs_direction(g: np.ndarray, pairs: list,
     return -q
 
 
-@dataclass
-class DescentResult:
-    states: np.ndarray
-    cost: float
-    grad_norm: float
-    iterations: int
-    converged: bool
-    aborted: bool
-    trajectory: np.ndarray  # (iterations + 1, 3): iteration, cost, grad norm
-    stop_reason: str
-
-
 def projected_descent(cost_fn: Callable[[np.ndarray], tuple[float, object]],
                       grad_fn: Callable[[np.ndarray, object],
                                         tuple[float, np.ndarray,
@@ -122,7 +108,7 @@ def projected_descent(cost_fn: Callable[[np.ndarray], tuple[float, object]],
                       grad_tol: float,
                       max_iters: int,
                       on_spheres: bool,
-                      ) -> DescentResult:
+                      ) -> tuple[np.ndarray, str, np.ndarray]:
     """L-BFGS descent searched by `armijo_step` from _FIRST_STEP.
 
     With on_spheres the loop walks the product of unit spheres: trial points
@@ -132,10 +118,14 @@ def projected_descent(cost_fn: Callable[[np.ndarray], tuple[float, object]],
     direction that does not descend is replaced by -g and the pairs are
     cleared.  Accepted costs strictly decrease.
 
-    `converged` is true exactly when the run stops as "converged": the
-    gradient norm is at most grad_tol, or the cost fell by at most _DROP of
-    itself over the last _WINDOW iterations.  Other stops are "max_iters",
-    "line_search_stall" and, aborted, "singular_iterate".
+    Returns (point, stop_reason, trajectory).  The stop is "converged" when
+    the gradient norm is at most grad_tol or the cost fell by at most _DROP
+    of itself over the last _WINDOW iterations, else "max_iters",
+    "line_search_stall" or "singular_iterate".  trajectory has one row
+    (iteration, cost, gradient norm) per iteration, the start's first, and
+    its last row is the returned point's; a stalled search or a gradient
+    raising at an accepted point logs that row (with the last norm
+    computed), and a singular start returns the one row (0, inf, inf).
 
     cost_fn is the line-search probe of `armijo_step`.  grad_fn(point,
     work) must return (cost, gradient, metric) with the gradient already in
@@ -152,10 +142,7 @@ def projected_descent(cost_fn: Callable[[np.ndarray], tuple[float, object]],
         f, g, metric = grad_fn(states, None)
     except ArithmeticError:
         # a singular start aborts before its first iteration
-        return DescentResult(states=states, cost=np.inf, grad_norm=np.inf,
-                             iterations=0, converged=False, aborted=True,
-                             trajectory=np.array([(0.0, np.inf, np.inf)]),
-                             stop_reason="singular_iterate")
+        return states, "singular_iterate", np.array([(0.0, np.inf, np.inf)])
     gnorm = float(np.linalg.norm(g))
     log = [(0, f, gnorm)]
 
@@ -201,8 +188,4 @@ def projected_descent(cost_fn: Callable[[np.ndarray], tuple[float, object]],
     if len(log) == it:
         # a stalled line search or a singular iterate ends iteration it
         log.append((it, f, gnorm))
-    return DescentResult(states=states, cost=f, grad_norm=gnorm, iterations=it,
-                         converged=stop_reason == "converged",
-                         aborted=stop_reason == "singular_iterate",
-                         trajectory=np.array(log, dtype=float),
-                         stop_reason=stop_reason)
+    return states, stop_reason, np.array(log, dtype=float)

@@ -313,7 +313,10 @@ def test_evaluate_names_offending_field(capsys):
 
 @pytest.mark.parametrize("doc, field", [
     (5, "top level"), ({"meta": [1, 2]}, "'meta'"),
-    ({"meta": "abc"}, "'meta'")])
+    ({"meta": "abc"}, "'meta'"),
+    ({"vectors": [[1.0, 0.0], [0.0, 1.0]]}, "'vectors' must be (count, 2, 2)"),
+    ({"vectors": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]},
+     "'vectors' must be (count, 2, 2)")])
 def test_evaluate_rejects_malformed_set_documents(capsys, doc, field):
     assert run_cli("gen-set", "--family", "mub", "--n", "2",
                    "--out", "mub2.json") == 0
@@ -404,6 +407,7 @@ def test_sweep_mub_analytic_covers_non_primes():
 
 def test_sweep_rejects_bad_input():
     assert run_cli("sweep", "--families", "nope", "--n-list", "2") == 2
+    assert run_cli("sweep", "--families", ",", "--n-list", "2") == 2
     assert run_cli("sweep", "--families", "yang", "--n-list", "x-3") == 2
     assert run_cli("sweep", "--families", "yang", "--n-list", "1") == 2
 
@@ -617,6 +621,23 @@ def test_simulate_input_errors(capsys):
         assert f"{key} must be finite" in capsys.readouterr().err
     assert run_cli("gen-set", "--family", "mub", "--n", "2",
                    "--out", "mub2.json") == 0
+    capsys.readouterr()
+    with open("listed.json", "w") as fh:
+        json.dump([SCENARIOS["md"]], fh)
+    assert run_cli("simulate", "--scenario", "listed.json") == 4
+    assert "top level must be a JSON object" in capsys.readouterr().err
+    for receiver, message in (
+            (dict(NOISY_RECEIVER, responsivity=-0.8),
+             "responsivity must be positive"),
+            (dict(NOISY_RECEIVER, gain=2.0), "'gain'")):
+        write_scenario("rx.json", **dict(SCENARIOS["md"], receiver=receiver))
+        assert run_cli("simulate", "--scenario", "rx.json") == 4
+        err = capsys.readouterr().err
+        assert "receiver:" in err and message in err
+    write_scenario("pa.json", **dict(
+        SCENARIOS["mdl"], fiber=dict(LOSSY_FIBER, pa_coeffs=[0.1, 0.4, 0.2])))
+    assert run_cli("simulate", "--scenario", "pa.json") == 4
+    assert "pa_coeffs must have shape (2,)" in capsys.readouterr().err
     for value in (math.nan, math.inf):
         capsys.readouterr()
         write_scenario("noise.json", **dict(SCENARIOS["mdl"],

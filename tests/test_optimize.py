@@ -196,11 +196,11 @@ def test_trajectory_logs_each_iteration_once():
     assert capped.stop_reason == "max_iters"
     np.testing.assert_array_equal(capped.trajectory[:, 0], np.arange(6))
     # a probe cost that never falls stalls the first line search
-    stalled = spheres.projected_descent(
+    _, stop_reason, trajectory = spheres.projected_descent(
         lambda x: (1e9, None), lambda x, _: (float(x @ x), 2.0 * x, None),
         np.ones(3), grad_tol=0.0, max_iters=50, on_spheres=False)
-    assert stalled.stop_reason == "line_search_stall"
-    np.testing.assert_array_equal(stalled.trajectory[:, 0], [0, 1])
+    assert stop_reason == "line_search_stall"
+    np.testing.assert_array_equal(trajectory[:, 0], [0, 1])
 
 
 def test_gradient_raising_after_an_accepted_step_aborts():
@@ -218,17 +218,75 @@ def test_gradient_raising_after_an_accepted_step_aborts():
             raise ArithmeticError("singular")
         return cost_fn(x)[0], 2.0 * scale * x, None
 
-    run = spheres.projected_descent(cost_fn, grad_fn, np.ones(3),
-                                    grad_tol=0.0, max_iters=50,
-                                    on_spheres=False)
-    assert run.stop_reason == "singular_iterate"
-    assert run.aborted and not run.converged
-    assert run.iterations == 2
-    np.testing.assert_array_equal(run.trajectory[:, 0], [0, 1, 2])
+    point, stop_reason, trajectory = spheres.projected_descent(
+        cost_fn, grad_fn, np.ones(3), grad_tol=0.0, max_iters=50,
+        on_spheres=False)
+    assert stop_reason == "singular_iterate"
+    np.testing.assert_array_equal(trajectory[:, 0], [0, 1, 2])
     # the last accepted point and its cost are kept
-    assert run.states is grad_calls[2]
-    assert run.cost == cost_fn(run.states)[0] == run.trajectory[2, 1]
-    assert run.cost < run.trajectory[1, 1] < run.trajectory[0, 1]
+    assert point is grad_calls[2]
+    assert cost_fn(point)[0] == trajectory[2, 1]
+    assert trajectory[2, 1] < trajectory[1, 1] < trajectory[0, 1]
+
+
+def _repeat_first_state(s):
+    s.states[1] = s.states[0]
+    return s
+
+
+def _gradient_raising_at_call(monkeypatch, call):
+    real, calls = optimize.gradient_jones, []
+
+    def gradient_jones(*args):
+        calls.append(args)
+        if len(calls) == call:
+            raise SingularSetError("singular")
+        return real(*args)
+
+    monkeypatch.setattr(optimize, "gradient_jones", gradient_jones)
+
+
+def _stalling_search(monkeypatch):
+    monkeypatch.setattr(spheres, "armijo_step",
+                        lambda cost_fn, states, f0, *args: (f0, None, None))
+
+
+# one case per stop: (initial set, max_iters, patch, stop, iterations)
+_STOPS = {
+    "converged": (lambda: random_set(3, seed=8), 2000, None, "converged",
+                  None),
+    "exact mub": (lambda: mub_set(3), 2000, None, "converged", 0),
+    "capped": (lambda: random_set(3, seed=8), 5, None, "max_iters", 5),
+    "singular start": (lambda: _repeat_first_state(random_set(3, seed=1)),
+                       2000, None, "singular_iterate", 0),
+    "singular step": (lambda: random_set(3, seed=8), 2000,
+                      lambda mp: _gradient_raising_at_call(mp, 3),
+                      "singular_iterate", 2),
+    "stalled search": (lambda: random_set(3, seed=8), 2000, _stalling_search,
+                       "line_search_stall", 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_STOPS))
+def test_run_record_is_the_last_trajectory_row(monkeypatch, case):
+    make, max_iters, patch, stop, iterations = _STOPS[case]
+    if patch is not None:
+        patch(monkeypatch)
+    run = descend(make(), OptimizerConfig(algorithm="projected",
+                                          max_iters=max_iters))
+    assert run.stop_reason == stop
+    assert run.converged == (stop == "converged")
+    assert run.aborted == (stop == "singular_iterate")
+    if iterations is not None:
+        assert run.iterations_used == iterations
+    assert type(run.iterations_used) is int
+    assert type(run.final_xi) is float and type(run.grad_norm) is float
+    assert tuple(run.trajectory[-1]) == (run.iterations_used, run.final_xi,
+                                         run.grad_norm)
+    np.testing.assert_array_equal(run.trajectory[:, 0],
+                                  np.arange(run.iterations_used + 1))
+    assert run.final_set.meta["final_xi"] == run.final_xi
+    assert run.final_set.meta["iterations"] == run.iterations_used
 
 
 def test_descent_converges_from_nearly_singular_start():

@@ -303,6 +303,36 @@ def test_canonicalize_preserves_state_and_is_idempotent():
     assert np.array_equal(canonicalize_phases(canon), canon)
 
 
+def _canonicalize_row_by_row(states):
+    states = np.array(states, dtype=complex)
+    for row in states:
+        idx = int(np.argmax(np.abs(row)))
+        a = row[idx]
+        if (a.imag == 0.0 and a.real >= 0.0) or abs(a) == 0.0:
+            continue
+        row *= a.conjugate() / abs(a)
+        row[idx] = abs(a)
+    return states
+
+
+def test_canonicalize_matches_the_row_loop_bit_for_bit():
+    # saved sets are byte-compared on reruns, so the vectorized rotation
+    # must reproduce the scalar one of each row to the last bit
+    rng = rng_for(18)
+    special = np.array([
+        [-1.0, 0.5, 0.2j], [0.3, -0.3, 0.1], [0.0, 0.0, 0.0],
+        [1j, -1j, 0.5], [complex(-0.0, 0.0), 0.0, 0.0], [2.0, 2.0, 2.0],
+        [complex(-0.0, -1.0), 1.0, 1j], [complex(0.0, -0.0), 0.0, 0.0],
+        [0.5, 0.5j, -0.5], [1.0, 0.0, 0.0]])
+    samples = [special, random_states(rng, 15, 4), random_states(rng, 8, 3)]
+    for m, n in ((1, 2), (35, 6), (99, 10)):
+        samples.append(1e-3 * (rng.standard_normal((m, n))
+                               + 1j * rng.standard_normal((m, n))))
+    for states in samples:
+        got = canonicalize_phases(states)
+        assert got.tobytes() == _canonicalize_row_by_row(states).tobytes()
+
+
 def test_save_load_round_trip_is_exact(tmp_path):
     s = random_set(4, seed=11)
     p1 = tmp_path / "set.json"
