@@ -328,7 +328,10 @@ def _parse_n_list(text: str) -> list:
         lo, dash, hi = part.partition("-")
         try:
             if dash:
-                ns.extend(range(int(lo), int(hi) + 1))
+                span = range(int(lo), int(hi) + 1)
+                if not span:  # a reversed range such as 5-3
+                    raise ValueError(part)
+                ns.extend(span)
             else:
                 ns.append(int(part))
         except ValueError as exc:

@@ -18,10 +18,12 @@ analytic mode, the first-moment weights over the noiseless windowed energy in
 waveform mode).  measure_delay, estimate_tau0 and monte_carlo_md all compute
 (d, g) once per launch and then only draw e.  Likewise a power reading is a
 (1 + rel_noise z) of the clean attenuation a: monte_carlo_mdl takes each a
-once from measure_attenuation and then only draws z.  Readings are plain
-floats; reconstruct_md and reconstruct_mdl check that every reading handed to
-them is finite.  Both Monte Carlos predict their error by one law: reading
-noise of covariance R R^T reconstructs to a mean square ||2 c_n^2 S^-1 R||_F^2.
+once from measure_attenuation and then only draws z.  One loss estimator,
+_estimate_mdl, reads every trial of monte_carlo_mdl in one call and is
+reconstruct_mdl's one-trial case.  Readings are plain floats; reconstruct_md
+and reconstruct_mdl check that every reading handed to them is finite.  Both
+Monte Carlos predict their error by one law: reading noise of covariance
+R R^T reconstructs to a mean square ||2 c_n^2 S^-1 R||_F^2.
 
 Units are SI throughout: seconds, Hz, rad/s for the frequency detuning,
 watts, amperes, joules, metres.  Mixing propagation quantities (delays)
@@ -642,33 +644,50 @@ def predicted_attenuation(alpha0: float, gamma, state):
     """Attenuation <s| alpha0 (I + gamma . L / (2 c_n)) |s> = alpha0 (1 +
     gamma . s_hat / (2 c_n^2)) of a unit state (n,) or of each stack row."""
     n = np.shape(state)[-1]
-    return _expectation(alpha0 * assemble(n, 1.0, gamma), state)
+    return _expectation(_squared_loss(n, alpha0, gamma), state)
+
+
+def _squared_loss(n: int, alpha0, gamma) -> np.ndarray:
+    """P^2 = alpha0 (I + gamma . L / (2 c_n)), stacked over a (t,) alpha0."""
+    alpha0 = np.asarray(alpha0)[..., None, None]
+    return alpha0 * assemble(n, 1.0, gamma)
+
+
+def _estimate_mdl(launch_set: LaunchSet, reads: np.ndarray):
+    """(alpha0, gamma, mdl_ratio) of each row of (t, m + n) readings, set
+    then simplex: alpha0 is the simplex mean (the orthonormal Stokes images
+    sum to zero), gamma comes from the Stokes solve of the delay vector, and
+    mdl_ratio from the eigenvalues of the rebuilt P^2.  Each row is its own right-hand side and
+    eigvalsh, so it reads bit for bit what it reads alone.  The first row
+    with alpha0 <= 0 or a P^2 not positive definite raises
+    EstimationFailedError: its records describe no physical loss element."""
+    m = launch_set.m
+    alpha0 = np.add.reduce(reads[:, m:], axis=1) / (reads.shape[1] - m)
+    if not alpha0.min() > 0:
+        first = int(np.argmax(alpha0 <= 0))
+        if first:  # an earlier row may fail on its P^2
+            _estimate_mdl(launch_set, reads[:first])
+        raise EstimationFailedError(
+            f"mean attenuation must be positive, got {float(alpha0[first])}")
+    dev = reads[:, :m, None] / alpha0[:, None, None] - 1.0
+    gamma = _solve_stokes(launch_set, dev)[..., 0]
+    evals = np.linalg.eigvalsh(_squared_loss(launch_set.n, alpha0, gamma))
+    if evals[:, 0].min() <= 0:
+        raise EstimationFailedError(
+            "reconstructed squared loss operator is not positive definite")
+    return alpha0, gamma, evals[:, -1] / evals[:, 0]
 
 
 def reconstruct_mdl(launch_set: LaunchSet, simplex: SimplexSet,
                     set_values, simplex_values) -> MdlEstimate:
-    """Loss parameters from attenuation readings of set and simplex.
-
-    alpha0 is the simplex mean (the orthonormal Stokes images sum to zero),
-    gamma comes from the same linear solve as the delay reconstruction, and
-    the eigenvalues of the rebuilt P^2 give mdl_ratio.  A rebuilt P^2 that
-    is not positive definite means the records were too noisy to describe
-    any physical loss element.
-    """
-    set_values = _readings(set_values, launch_set.m, "set records")
-    simplex_values = _readings(simplex_values, simplex.n, "simplex records")
-    alpha0 = float(np.mean(simplex_values))
-    if alpha0 <= 0:
-        raise EstimationFailedError(
-            f"mean attenuation must be positive, got {alpha0}")
-    gamma = _solve_stokes(launch_set, set_values / alpha0 - 1.0)
-    p2 = alpha0 * assemble(launch_set.n, 1.0, gamma)
-    evals = np.linalg.eigvalsh(p2)
-    if evals[0] <= 0:
-        raise EstimationFailedError(
-            "reconstructed squared loss operator is not positive definite")
-    return MdlEstimate(n=launch_set.n, alpha0=alpha0, gamma=gamma,
-                       mdl_ratio=float(evals[-1] / evals[0]))
+    """Loss parameters from one attenuation reading per launch of the set
+    and of the simplex: the one-row case of `_estimate_mdl`."""
+    reads = np.concatenate([
+        _readings(set_values, launch_set.m, "set records"),
+        _readings(simplex_values, simplex.n, "simplex records")])
+    (alpha0,), (gamma,), (ratio,) = _estimate_mdl(launch_set, reads[None])
+    return MdlEstimate(n=launch_set.n, alpha0=float(alpha0), gamma=gamma,
+                       mdl_ratio=float(ratio))
 
 
 def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
@@ -679,9 +698,9 @@ def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
     a (1 + rel_noise z): a is the clean measure_attenuation reading and z is
     standard normal, drawn from one stream of seed in trial order and in
     bounded blocks, so the first t trials do not depend on the run length.
-    reconstruct_mdl estimates each trial; the first trial that no physical
-    loss fits raises EstimationFailedError.  A launch set that metrics
-    rejects raises SingularSetError before any draw.
+    One _estimate_mdl call reads every trial as reconstruct_mdl would; the
+    first trial that no physical loss fits raises EstimationFailedError.  A
+    launch set that metrics rejects raises SingularSetError before any draw.
 
     Returns the true alpha0, the per-trial squared gamma errors, estimated
     alpha0 and mdl_ratio, their means, and the first-order prediction of
@@ -702,13 +721,9 @@ def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
         lambda rows: clean * (1.0 + rng.normal(0.0, rel_noise,
                                                (rows, clean.size))),
         trials, clean.size, clean.size)
-    estimates = [reconstruct_mdl(launch_set, simplex, row[:m], row[m:])
-                 for row in reads]
-
+    alpha0, gamma, ratio = _estimate_mdl(launch_set, reads)
     alpha0_true, gamma_true = mdl_parameters(f)
-    sq = np.array([np.sum((e.gamma - gamma_true) ** 2) for e in estimates])
-    alpha0 = np.array([e.alpha0 for e in estimates])
-    ratio = np.array([e.mdl_ratio for e in estimates])
+    sq = np.sum((gamma - gamma_true) ** 2, axis=1)
     # C = R R^T with R = rel_noise [diag(r) | spread r]
     r = clean[:m] / alpha0_true
     spread = math.sqrt(clean[m:] @ clean[m:]) / (f.n * alpha0_true)
@@ -727,8 +742,7 @@ def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
 
 def loss_matrix_from_estimate(est: MdlEstimate) -> np.ndarray:
     """Principal square root P of the estimate's P^2."""
-    p2 = est.alpha0 * assemble(est.n, 1.0, est.gamma)
-    evals, vecs = np.linalg.eigh(p2)
+    evals, vecs = np.linalg.eigh(_squared_loss(est.n, est.alpha0, est.gamma))
     if evals[0] <= 0:
         raise EstimationFailedError(
             "estimated squared loss operator is not positive definite")

@@ -191,13 +191,16 @@ def expand_matrix(m) -> tuple[complex, np.ndarray]:
 
 
 def assemble(n: int, scalar, vector) -> np.ndarray:
-    """The matrix scalar * I + vector . L / (2 c_n); inverse of expand_matrix."""
+    """The matrix scalar * I + vector . L / (2 c_n); inverse of expand_matrix.
+    A (..., n^2-1) stack of vectors gives the (..., n, n) stack, each matrix
+    bit for bit its single call's (the same (1, n^2-1) matmul per row)."""
     basis = gell_mann_basis(n)
     vec = np.asarray(vector, dtype=complex)
-    if vec.shape != (len(basis),):
+    if vec.shape[-1:] != (len(basis),):
         raise DimensionError(
-            f"vector part has shape {vec.shape}, expected ({len(basis)},)")
-    acc = (vec @ basis.reshape(len(basis), n * n)).reshape(n, n)
+            f"vector part has shape {vec.shape}, expected (..., {len(basis)})")
+    acc = vec[..., None, :] @ basis.reshape(len(basis), n * n)
+    acc = acc.reshape(*vec.shape[:-1], n, n)
     return complex(scalar) * np.eye(n) + acc / (2.0 * norm_coeff(n))
 
 

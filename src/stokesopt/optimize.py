@@ -310,6 +310,8 @@ def gradient_check(n: int, algorithm: str = "projected", trials: int = 3,
     if algorithm not in ALGORITHMS:
         raise ConfigError(
             f"unknown algorithm {algorithm!r}, pick from {ALGORITHMS}")
+    if trials < 1:
+        raise ConfigError("trials must be at least 1")
     worst = 0.0
     for trial in range(trials):
         states = random_set(n, seed=seed + trial).states

@@ -123,9 +123,9 @@ def projected_descent(cost_fn: Callable[[np.ndarray], tuple[float, object]],
     of itself over the last _WINDOW iterations, else "max_iters",
     "line_search_stall" or "singular_iterate".  trajectory has one row
     (iteration, cost, gradient norm) per iteration, the start's first, and
-    its last row is the returned point's; a stalled search or a gradient
-    raising at an accepted point logs that row (with the last norm
-    computed), and a singular start returns the one row (0, inf, inf).
+    its last row is the returned point's; a stalled search logs that row
+    with the last norm computed, a gradient raising at an accepted point
+    logs it with norm inf, and a singular start returns (0, inf, inf).
 
     cost_fn is the line-search probe of `armijo_step`.  grad_fn(point,
     work) must return (cost, gradient, metric) with the gradient already in
@@ -170,7 +170,7 @@ def projected_descent(cost_fn: Callable[[np.ndarray], tuple[float, object]],
         try:
             _, g, metric = grad_fn(states, work)
         except ArithmeticError:
-            stop_reason = "singular_iterate"
+            stop_reason, gnorm = "singular_iterate", np.inf
             break
         gnorm = float(np.linalg.norm(g))
         pairs.append((step, g - g_old))

@@ -412,6 +412,12 @@ def test_sweep_rejects_bad_input():
     assert run_cli("sweep", "--families", "yang", "--n-list", "1") == 2
 
 
+def test_sweep_rejects_a_reversed_range():
+    assert run_cli("sweep", "--families", "yang", "--n-list", "2,5-3",
+                   "--out", "sw.csv") == 2
+    assert not Path("sw.csv").exists()
+
+
 def test_sweep_rows_do_not_depend_on_the_pool_width(capsys, monkeypatch):
     written = {}
     for width in (1, 2):
@@ -743,6 +749,12 @@ def test_gradcheck_hyperspherical(capsys):
     assert run_cli("gradcheck", "--n", "3", "--algo", "hyperspherical",
                    "--trials", "2") == 0
     assert json.loads(capsys.readouterr().out)["max_rel_error"] < 1e-6
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_gradcheck_rejects_fewer_than_one_trial(capsys, trials):
+    assert run_cli("gradcheck", "--n", "2", "--trials", trials) == 2
+    assert "max_rel_error" not in capsys.readouterr().out
 
 
 def test_version_flag_exits_zero(capsys):

@@ -7,6 +7,7 @@ reconstruction against closed forms evaluated on the true model.
 """
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -709,28 +710,41 @@ def _mdl_scene(n=4):
     return f, simplex_set(n, seed=2)
 
 
+def _reference_mdl_reads(f, ls, sx, rel_noise, seed):
+    """Each trial's readings in trial order, launches then simplex, from
+    the one stream monte_carlo_mdl draws from, a single reading at a time."""
+    rng = rng_for(seed, fsim._ATTENUATION_STREAM)
+
+    def read(states):
+        return [fsim.measure_attenuation(f, s)
+                * (1.0 + rng.normal(0.0, rel_noise)) for s in states]
+
+    while True:
+        yield read(ls.states), read(sx.states)
+
+
 def test_monte_carlo_mdl_matches_per_trial_reference():
-    f, sx = _mdl_scene()
-    ls = bundled_optimal_set()
-    out = fsim.monte_carlo_mdl(f, ls, sx, 1e-2, 40, seed=6)
-    _, gamma_true = fsim.mdl_parameters(f)
-    # each reading in trial order, launches then simplex, from one stream
-    rng = rng_for(6, fsim._ATTENUATION_STREAM)
-    ref = {"gamma_sq_errors": [], "alpha0": [], "mdl_ratio": []}
-    for _ in range(40):
-        setv = [fsim.measure_attenuation(f, s) * (1.0 + rng.normal(0.0, 1e-2))
-                for s in ls.states]
-        sxv = [fsim.measure_attenuation(f, s) * (1.0 + rng.normal(0.0, 1e-2))
-               for s in sx.states]
-        est = fsim.reconstruct_mdl(ls, sx, setv, sxv)
-        ref["gamma_sq_errors"].append(np.sum((est.gamma - gamma_true) ** 2))
-        ref["alpha0"].append(est.alpha0)
-        ref["mdl_ratio"].append(est.mdl_ratio)
-    for key, want in ref.items():
-        np.testing.assert_allclose(out[key], want, rtol=1e-12, atol=0,
-                                   err_msg=key)
-    assert out["gamma_mse"] == pytest.approx(np.mean(ref["gamma_sq_errors"]),
-                                             rel=1e-12)
+    # the stacked estimator reads every trial bit for bit as a single call
+    for n in (2, 3, 4, 5):
+        f, sx = _mdl_scene(n)
+        ls = bundled_optimal_set() if n == 4 else yang_nolan(n)
+        out = fsim.monte_carlo_mdl(f, ls, sx, 1e-2, 40, seed=6)
+        alpha0_true, gamma_true = fsim.mdl_parameters(f)
+        ref = {"gamma_sq_errors": [], "alpha0": [], "mdl_ratio": []}
+        reads = _reference_mdl_reads(f, ls, sx, 1e-2, 6)
+        for _ in range(40):
+            est = fsim.reconstruct_mdl(ls, sx, *next(reads))
+            err = est.gamma - gamma_true
+            ref["gamma_sq_errors"].append(np.sum(err ** 2))
+            ref["alpha0"].append(est.alpha0)
+            ref["mdl_ratio"].append(est.mdl_ratio)
+        for key, want in ref.items():
+            assert out[key].tolist() == want, (n, key)
+        # the means keep their sequential sums
+        assert out["gamma_mse"] == sum(ref["gamma_sq_errors"]) / 40
+        assert out["alpha0_mse"] == sum(
+            (a - alpha0_true) ** 2 for a in np.array(ref["alpha0"])) / 40
+        assert out["mdl_ratio_mean"] == sum(np.array(ref["mdl_ratio"])) / 40
 
 
 def test_monte_carlo_mdl_prefix_and_blocks(monkeypatch):
@@ -780,6 +794,38 @@ def test_monte_carlo_mdl_raises_on_the_first_unphysical_trial():
     f, sx = _mdl_scene(2)
     with pytest.raises(EstimationFailedError, match="positive"):
         fsim.monte_carlo_mdl(f, mub_set(2), sx, 0.9, 50, seed=1)
+
+
+# seeds 15 and 20 fail first on the mean attenuation, the others on P^2
+@pytest.mark.parametrize("seed", [*range(10), 15, 20])
+def test_monte_carlo_mdl_fails_as_the_per_trial_loop(seed):
+    f, sx = _mdl_scene(2)
+    ls = mub_set(2)
+    reads = _reference_mdl_reads(f, ls, sx, 0.9, seed)
+    with pytest.raises(EstimationFailedError) as want:
+        for _ in range(50):
+            fsim.reconstruct_mdl(ls, sx, *next(reads))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationFailedError) as got:
+            fsim.monte_carlo_mdl(f, ls, sx, 0.9, 50, seed=seed)
+    assert str(got.value) == str(want.value)
+
+
+def test_stacked_mdl_estimate_raises_for_the_first_bad_row():
+    ls, sx = random_set(2, seed=1), simplex_set(2)
+    good, zero_mean, unphysical = ([1.0, 1.0, 1.0, 1.0, 1.0],
+                                   [1.0, 1.0, 1.0, 1.0, -1.0],
+                                   [50.0, 1.0, 1.0, 1.0, 1.0])
+    alpha0, gamma, ratio = fsim._estimate_mdl(ls, np.array([good, good]))
+    assert alpha0.tolist() == [1.0, 1.0] and ratio.tolist() == [1.0, 1.0]
+    with warnings.catch_warnings():
+        # a zero mean is never divided by: no warning, no LinAlgError
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationFailedError, match="got 0.0"):
+            fsim._estimate_mdl(ls, np.array([good, zero_mean, unphysical]))
+        with pytest.raises(EstimationFailedError, match="positive definite"):
+            fsim._estimate_mdl(ls, np.array([good, unphysical, zero_mean]))
 
 
 def test_mdl_reconstruction_failure_modes():

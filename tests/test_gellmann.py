@@ -146,6 +146,22 @@ def test_expand_assemble_round_trip_general_complex(n):
         assert np.max(np.abs(back - m)) < 1e-13
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_assemble_stack_is_its_single_calls(n):
+    rng = np.random.default_rng(430 + n)
+    vecs = rng.standard_normal((2, 3, n * n - 1))
+    for scalar in (1.0, -0.25, 1.5 - 2j):
+        stack = assemble(n, scalar, vecs)
+        assert stack.shape == (2, 3, n, n)
+        for idx in np.ndindex(2, 3):
+            single = assemble(n, scalar, vecs[idx])
+            assert stack[idx].tobytes() == single.tobytes()
+    with pytest.raises(DimensionError):
+        assemble(n, 1.0, np.zeros((3, n * n)))
+    with pytest.raises(DimensionError):
+        assemble(n, 1.0, 0.5)
+
+
 def test_expand_hermitian_gives_real_coefficients():
     rng = np.random.default_rng(41)
     n = 5

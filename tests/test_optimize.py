@@ -71,6 +71,12 @@ def test_gradient_check_rejects_unknown_algorithm():
         gradient_check(3, algorithm="exact")
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_gradient_check_needs_a_trial(trials):
+    with pytest.raises(ConfigError, match="trials"):
+        gradient_check(2, trials=trials)
+
+
 def test_projected_gradient_is_tangent():
     # residual radial components are pure roundoff, so the tolerance scales
     # with each row's gradient magnitude (near-singular draws reach ~1e7)
@@ -287,6 +293,9 @@ def test_run_record_is_the_last_trajectory_row(monkeypatch, case):
                                   np.arange(run.iterations_used + 1))
     assert run.final_set.meta["final_xi"] == run.final_xi
     assert run.final_set.meta["iterations"] == run.iterations_used
+    # no gradient exists at a singular point, so its norm is logged as inf
+    singular = case in ("singular start", "singular step")
+    assert math.isinf(run.grad_norm) == singular
 
 
 def test_descent_converges_from_nearly_singular_start():
