@@ -16,14 +16,15 @@ readouts are linear in the receiver noise: launch i reads d_i + g_i . e, with
 d_i its noiseless delay, e i.i.d. Gaussian noise and g_i a fixed gain (1 in
 analytic mode, the first-moment weights over the noiseless windowed energy in
 waveform mode).  measure_delay, estimate_tau0 and monte_carlo_md all compute
-(d, g) once per launch and then only draw e.  Likewise a power reading is a
-(1 + rel_noise z) of the clean attenuation a: monte_carlo_mdl takes each a
-once from measure_attenuation and then only draws z.  One loss estimator,
-_estimate_mdl, reads every trial of monte_carlo_mdl in one call and is
-reconstruct_mdl's one-trial case.  Readings are plain floats; reconstruct_md
-and reconstruct_mdl check that every reading handed to them is finite.  Both
-Monte Carlos predict their error by one law: reading noise of covariance
-R R^T reconstructs to a mean square ||2 c_n^2 S^-1 R||_F^2.
+(d, g) once per launch and then only draw e; monte_carlo_mdl likewise takes
+each clean attenuation a once and then only draws z in a (1 + rel_noise z).
+One Stokes solve, each row its own right-hand side, serves every estimator:
+reconstruct_md and reconstruct_mdl are one-row cases, and both Monte Carlos
+estimate each bounded block of trials as they draw it, so a trial reads bit
+for bit what the single call reads and memory stays flat in the trial count.
+Delay deviations from tau0 and power readings must be finite.  Both Monte
+Carlos predict their error by one law: reading noise of covariance R R^T
+reconstructs to a mean square ||2 c_n^2 S^-1 R||_F^2.
 
 Units are SI throughout: seconds, Hz, rad/s for the frequency detuning,
 watts, amperes, joules, metres.  Mixing propagation quantities (delays)
@@ -122,8 +123,7 @@ class FiberModel:
         if md.shape != (n * n - 1,):
             raise DimensionError(
                 f"md_vector for n={n} needs shape ({n * n - 1},), got {md.shape}")
-        if not np.all(np.isfinite(md)):
-            raise ConfigError("md_vector must be finite")
+        _finite(md, "md_vector")
         if not math.isfinite(self.tau0):
             raise ConfigError(f"tau0 must be finite, got {self.tau0}")
         u = np.asarray(self.base_unitary, dtype=complex)
@@ -138,8 +138,7 @@ class FiberModel:
             v = np.asarray(self.pa_modes, dtype=complex)
             if a.shape != (n,):
                 raise DimensionError(f"pa_coeffs must have shape ({n},)")
-            if not np.all(np.isfinite(a)):
-                raise ConfigError("pa_coeffs must be finite")
+            _finite(a, "pa_coeffs")
             if v.shape != (n, n):
                 raise DimensionError(f"pa_modes must be ({n}, {n})")
             if np.max(np.abs(v.conj() @ v.T - np.eye(n))) > 1e-10:
@@ -154,8 +153,7 @@ class FiberModel:
             sl = np.asarray(self.pa_slope, dtype=float)
             if sl.shape != (n,):
                 raise DimensionError(f"pa_slope must have shape ({n},)")
-            if not np.all(np.isfinite(sl)):
-                raise ConfigError("pa_slope must be finite")
+            _finite(sl, "pa_slope")
             self.pa_slope = sl
         self.md_vector = md
         self.base_unitary = u
@@ -508,26 +506,28 @@ def estimate_tau0(f: FiberModel, rx: ReceiverModel, simplex: SimplexSet,
 # ---------------------------------------------------------------------------
 
 def _readings(values, count: int, what: str) -> np.ndarray:
-    """`count` outside readings as a float array; each must be finite."""
+    """`count` outside readings as a float array."""
     values = np.asarray(values, dtype=float)
     if values.shape != (count,):
         raise DimensionError(f"need {count} {what}, got {values.size}")
-    if not np.isfinite(values).all():
-        raise ConfigError("measurement value must be finite")
     return values
 
 
-def _solve_stokes(launch_set: LaunchSet, dev) -> np.ndarray:
-    """Solve S x = 2 c_n^2 dev, one column of dev per right-hand side.
+def _finite(values: np.ndarray, what: str = "measurement value"):
+    """`values`, rejected with ConfigError unless each is finite."""
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{what} must be finite")
+    return values
 
-    Raises
-    ------
-    SingularSetError
-        When the set's Stokes coefficient matrix S is singular.
-    """
+
+def _solve_stokes(launch_set: LaunchSet, dev: np.ndarray) -> np.ndarray:
+    """Solve S x = 2 c_n^2 d for each row d of a (t, m) stack, each row its
+    own right-hand side, so that it solves bit for bit as it does alone; a
+    singular Stokes coefficient matrix S raises SingularSetError."""
     c = norm_coeff(launch_set.n)
     try:
-        return np.linalg.solve(launch_set.stokes_matrix(), 2.0 * c * c * dev)
+        return np.linalg.solve(launch_set.stokes_matrix(),
+                               2.0 * c * c * dev[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSetError("stokes coefficient matrix is singular") from exc
 
@@ -535,39 +535,41 @@ def _solve_stokes(launch_set: LaunchSet, dev) -> np.ndarray:
 def reconstruct_md(launch_set: LaunchSet, delays, tau0: float) -> np.ndarray:
     """Delay vector from one delay (s) per launch, via a linear solve.
 
-    The scaled delays 2 c_n^2 (tau_g - tau0) form the right-hand side of
-    S x = b with S the set's Stokes coefficient matrix; no inverse is formed.
+    The deviations tau_g - tau0, which must be finite, scaled by 2 c_n^2
+    are the right-hand side of S x = b, S the set's Stokes coefficient matrix.
     """
-    values = _readings(delays, launch_set.m, "records")
-    return _solve_stokes(launch_set, values - tau0)
+    dev = _finite(_readings(delays, launch_set.m, "records") - tau0)
+    return _solve_stokes(launch_set, dev[None])[0]
 
 
 def _predicted_mse(launch_set: LaunchSet, root) -> float:
     """Mean squared reconstruction error (2 c_n^2)^2 Tr(S^-1 C S^-T) =
     ||2 c_n^2 S^-1 R||_F^2 of readings with noise covariance C = R R^T."""
-    x = _solve_stokes(launch_set, root)
+    x = _solve_stokes(launch_set, root.T)
     return float(np.sum(x * x))
 
 
-_DRAW_BLOCK = 1 << 20
+# noise values per Monte Carlo block, whose estimates use ~70 bytes a value
+_DRAW_BLOCK = 1 << 16
 # SeedSequence drops trailing zero words: rng_for(seed) is rng_for(seed, 0),
 # which builds a fiber's unitary, so each Monte Carlo draws its noise from a
 # stream of its own
 _NOISE_STREAM, _ATTENUATION_STREAM = 303, 505
 
 
-def _in_trial_order(draw, trials: int, width: int,
-                    draws_per_trial: int) -> np.ndarray:
-    """(trials, width) readouts from draw(rows), called on consecutive blocks
-    of trials of at most _DRAW_BLOCK noise values each: memory stays flat in
-    the trial count, and the first t trials do not depend on the run length.
-    """
+def _in_trial_order(estimate, trials: int, draws_per_trial: int) -> list:
+    """Per-trial outputs of estimate(rows), which draws and estimates the
+    next `rows` trials, called on blocks of at most _DRAW_BLOCK noise values
+    and joined in trial order: memory beyond the outputs stays flat in the
+    trial count, and the first t trials do not depend on the run length."""
     block = max(1, _DRAW_BLOCK // draws_per_trial)
-    reads = np.empty((trials, width))
+    outs = []
     for first in range(0, trials, block):
-        last = min(first + block, trials)
-        reads[first:last] = draw(last - first)
-    return reads
+        parts = estimate(min(block, trials - first))
+        outs = outs or [np.empty((trials, *p.shape[1:])) for p in parts]
+        for out, part in zip(outs, parts):
+            out[first:first + len(part)] = part
+    return outs
 
 
 def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
@@ -577,7 +579,7 @@ def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
 
     The readouts d + g . e draw their noise from one stream of seed in trial
     order, in bounded blocks, so the first t trials do not depend on the run
-    length; one multi-right-hand-side solve reconstructs every trial.
+    length; each block is solved as drawn, each trial as reconstruct_md.
     Returns the per-trial squared error norms, their mean, the mean error
     vector, the empirical covariance and the mean square predicted from the
     noise drawn, of variance sigma^2 ||g_i||^2 at launch i.  A launch set
@@ -590,14 +592,12 @@ def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
         raise ConfigError("monte_carlo_md needs a noisy receiver")
     delays, gain, sigma = _readout(f, launch_set.states, rx, mode)
     rng = rng_for(seed, _NOISE_STREAM)
-    reads = _in_trial_order(
-        lambda rows: _noisy_reads(delays, gain, sigma, rng, rows),
-        trials, launch_set.m, gain.size)
-    errors = _solve_stokes(launch_set, (reads - f.tau0).T).T - f.md_vector
-    # a non-finite delay makes its trial's error row non-finite, so one
-    # check applies the finiteness rule of reconstruct_md
-    if not np.all(np.isfinite(errors)):
-        raise ConfigError("measurement value must be finite")
+
+    def estimate(rows):
+        dev = _noisy_reads(delays, gain, sigma, rng, rows) - f.tau0
+        return (_solve_stokes(launch_set, _finite(dev)) - f.md_vector,)
+
+    errors, = _in_trial_order(estimate, trials, gain.size)
     sq = np.einsum("tm,tm->t", errors, errors)
     return {
         "trials": trials,
@@ -657,10 +657,10 @@ def _estimate_mdl(launch_set: LaunchSet, reads: np.ndarray):
     """(alpha0, gamma, mdl_ratio) of each row of (t, m + n) readings, set
     then simplex: alpha0 is the simplex mean (the orthonormal Stokes images
     sum to zero), gamma comes from the Stokes solve of the delay vector, and
-    mdl_ratio from the eigenvalues of the rebuilt P^2.  Each row is its own right-hand side and
-    eigvalsh, so it reads bit for bit what it reads alone.  The first row
-    with alpha0 <= 0 or a P^2 not positive definite raises
-    EstimationFailedError: its records describe no physical loss element."""
+    mdl_ratio from the eigenvalues of the rebuilt P^2.  Each row is its own
+    right-hand side and eigvalsh, so it reads bit for bit what it reads
+    alone.  The first row with alpha0 <= 0 or a P^2 not positive definite
+    raises EstimationFailedError: its records describe no physical loss."""
     m = launch_set.m
     alpha0 = np.add.reduce(reads[:, m:], axis=1) / (reads.shape[1] - m)
     if not alpha0.min() > 0:
@@ -669,8 +669,7 @@ def _estimate_mdl(launch_set: LaunchSet, reads: np.ndarray):
             _estimate_mdl(launch_set, reads[:first])
         raise EstimationFailedError(
             f"mean attenuation must be positive, got {float(alpha0[first])}")
-    dev = reads[:, :m, None] / alpha0[:, None, None] - 1.0
-    gamma = _solve_stokes(launch_set, dev)[..., 0]
+    gamma = _solve_stokes(launch_set, reads[:, :m] / alpha0[:, None] - 1.0)
     evals = np.linalg.eigvalsh(_squared_loss(launch_set.n, alpha0, gamma))
     if evals[:, 0].min() <= 0:
         raise EstimationFailedError(
@@ -683,8 +682,8 @@ def reconstruct_mdl(launch_set: LaunchSet, simplex: SimplexSet,
     """Loss parameters from one attenuation reading per launch of the set
     and of the simplex: the one-row case of `_estimate_mdl`."""
     reads = np.concatenate([
-        _readings(set_values, launch_set.m, "set records"),
-        _readings(simplex_values, simplex.n, "simplex records")])
+        _finite(_readings(set_values, launch_set.m, "set records")),
+        _finite(_readings(simplex_values, simplex.n, "simplex records"))])
     (alpha0,), (gamma,), (ratio,) = _estimate_mdl(launch_set, reads[None])
     return MdlEstimate(n=launch_set.n, alpha0=float(alpha0), gamma=gamma,
                        mdl_ratio=float(ratio))
@@ -698,9 +697,9 @@ def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
     a (1 + rel_noise z): a is the clean measure_attenuation reading and z is
     standard normal, drawn from one stream of seed in trial order and in
     bounded blocks, so the first t trials do not depend on the run length.
-    One _estimate_mdl call reads every trial as reconstruct_mdl would; the
-    first trial that no physical loss fits raises EstimationFailedError.  A
-    launch set that metrics rejects raises SingularSetError before any draw.
+    _estimate_mdl reads each block as drawn, each trial as reconstruct_mdl;
+    the first trial that no physical loss fits raises EstimationFailedError.
+    A launch set that metrics rejects raises SingularSetError before a draw.
 
     Returns the true alpha0, the per-trial squared gamma errors, estimated
     alpha0 and mdl_ratio, their means, and the first-order prediction of
@@ -716,14 +715,15 @@ def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
     m = launch_set.m
     clean = np.array([measure_attenuation(f, s) for s in
                       (*launch_set.states, *simplex.states)])
-    rng = rng_for(seed, _ATTENUATION_STREAM)
-    reads = _in_trial_order(
-        lambda rows: clean * (1.0 + rng.normal(0.0, rel_noise,
-                                               (rows, clean.size))),
-        trials, clean.size, clean.size)
-    alpha0, gamma, ratio = _estimate_mdl(launch_set, reads)
     alpha0_true, gamma_true = mdl_parameters(f)
-    sq = np.sum((gamma - gamma_true) ** 2, axis=1)
+    rng = rng_for(seed, _ATTENUATION_STREAM)
+
+    def estimate(rows):
+        reads = clean * (1.0 + rng.normal(0.0, rel_noise, (rows, clean.size)))
+        alpha0, gamma, ratio = _estimate_mdl(launch_set, reads)
+        return np.sum((gamma - gamma_true) ** 2, axis=1), alpha0, ratio
+
+    sq, alpha0, ratio = _in_trial_order(estimate, trials, clean.size)
     # C = R R^T with R = rel_noise [diag(r) | spread r]
     r = clean[:m] / alpha0_true
     spread = math.sqrt(clean[m:] @ clean[m:]) / (f.n * alpha0_true)

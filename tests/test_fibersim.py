@@ -7,6 +7,7 @@ reconstruction against closed forms evaluated on the true model.
 """
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -196,6 +197,9 @@ def test_reconstruction_rejects_non_finite_readings(bad):
     sx = simplex_set(2)
     with pytest.raises(ConfigError, match="measurement value must be finite"):
         fsim.reconstruct_md(ls, [0.0, bad, 0.0], 0.0)
+    # the rule applies to the deviations from tau0, so a bad tau0 fails too
+    with pytest.raises(ConfigError, match="measurement value must be finite"):
+        fsim.reconstruct_md(ls, [0.0, 0.0, 0.0], bad)
     with pytest.raises(ConfigError, match="measurement value must be finite"):
         fsim.reconstruct_mdl(ls, sx, [1.0, 1.0, bad], [1.0, 1.0])
     with pytest.raises(ConfigError, match="measurement value must be finite"):
@@ -483,12 +487,73 @@ def test_monte_carlo_waveform_mode_and_parallel_merge(monkeypatch):
                 return fsim.monte_carlo_md(fiber, launch, rx, trials, seed=3,
                                            mode=mode)["sq_errors"]
             long = run(333)
-            np.testing.assert_allclose(long[:20], run(20), rtol=1e-12,
-                                       atol=0, err_msg=mode)
+            np.testing.assert_array_equal(long[:20], run(20), err_msg=mode)
             with monkeypatch.context() as patch:
                 patch.setattr(fsim, "_DRAW_BLOCK", 1)
-                np.testing.assert_allclose(run(333), long, rtol=1e-12,
-                                           atol=0, err_msg=mode)
+                np.testing.assert_array_equal(run(333), long, err_msg=mode)
+
+
+@pytest.mark.parametrize("mode", fsim.DELAY_MODES)
+def test_monte_carlo_md_matches_per_trial_reference(mode):
+    # every trial's error is bit for bit what reconstruct_md returns on
+    # that trial's readings, drawn from the Monte Carlo's noise stream
+    rx = noisy_receiver()
+    for n in (2, 3, 4, 5):
+        f = random_fiber(n, seed=n)
+        ls = bundled_optimal_set() if n == 4 else yang_nolan(n)
+        out = fsim.monte_carlo_md(f, ls, rx, 40, seed=6, mode=mode)
+        delays, gain, sigma = fsim._readout(f, ls.states, rx, mode)
+        reads = fsim._noisy_reads(delays, gain, sigma,
+                                  rng_for(6, fsim._NOISE_STREAM), 40)
+        errors = np.array([fsim.reconstruct_md(ls, r, f.tau0) - f.md_vector
+                           for r in reads])
+        ref = {"sq_errors": np.einsum("tm,tm->t", errors, errors),
+               "mean_error": errors.mean(axis=0),
+               "covariance": errors.T @ errors / 40}
+        for key, want in ref.items():
+            np.testing.assert_array_equal(out[key], want, err_msg=(n, key))
+        assert out["mean_sq_error"] == ref["sq_errors"].mean()
+
+
+@pytest.mark.parametrize("mode", fsim.DELAY_MODES)
+def test_monte_carlo_md_rejects_a_non_finite_delay(monkeypatch, mode):
+    readout = fsim._readout
+
+    def one_nan(*args):
+        delays, gain, sigma = readout(*args)
+        delays[1] = math.nan
+        return delays, gain, sigma
+
+    monkeypatch.setattr(fsim, "_readout", one_nan)
+    with pytest.raises(ConfigError, match="measurement value must be finite"):
+        fsim.monte_carlo_md(random_fiber(2, seed=1), mub_set(2),
+                            noisy_receiver(), 10, seed=1, mode=mode)
+
+
+def test_monte_carlo_memory_is_flat_beyond_the_outputs(monkeypatch):
+    # a few trials per block: ten times the trials may add no more to the
+    # traced peak than the per-trial outputs kept (the error row and its
+    # squared norm; the three mdl arrays and the squared alpha0 deviations
+    # summed for alpha0_mse), plus a small constant
+    monkeypatch.setattr(fsim, "_DRAW_BLOCK", 64)
+    ls, rx = bundled_optimal_set(), noisy_receiver()
+    f = random_fiber(4, seed=4)
+    lossy, sx = _mdl_scene()
+    runs = {"md": (lambda t: fsim.monte_carlo_md(f, ls, rx, t, seed=1),
+                   8 * (ls.m + 1)),
+            "mdl": (lambda t: fsim.monte_carlo_mdl(lossy, ls, sx, 1e-2, t,
+                                                   seed=1), 8 * 4)}
+    for name, (run, per_trial) in runs.items():
+        peaks = []
+        for trials in (200, 2000):
+            run(trials)
+            tracemalloc.start()
+            try:
+                run(trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1800 * per_trial + 32 * 1024, name
 
 
 def _noiseless_pulse(f, state, rx):
