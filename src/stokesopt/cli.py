@@ -501,7 +501,7 @@ def _simulate_mdl(doc, fiber, ls, seed, where):
     sx = simplex_set(fiber.n, seed=_seed_field(doc, "simplex_seed", where,
                                                seed))
     res = fibersim.monte_carlo_mdl(fiber, ls, sx, rel_noise, trials, seed=seed)
-    ev = np.linalg.eigvalsh(fiber.loss_matrix(squared=True))
+    ev = np.linalg.eigvalsh(fiber.squared_loss)
     summary = {
         "mode": "mdl", "n": fiber.n, "trials": trials,
         "rel_noise": rel_noise, "set_family": ls.family,

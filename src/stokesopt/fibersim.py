@@ -18,10 +18,11 @@ analytic mode, the first-moment weights over the noiseless windowed energy in
 waveform mode).  measure_delay, estimate_tau0 and monte_carlo_md all compute
 (d, g) once per launch and then only draw e; monte_carlo_mdl likewise takes
 each clean attenuation a once and then only draws z in a (1 + rel_noise z).
-One Stokes solve, each row its own right-hand side, serves every estimator:
-reconstruct_md and reconstruct_mdl are one-row cases, and both Monte Carlos
-estimate each bounded block of trials as they draw it, so a trial reads bit
-for bit what the single call reads and memory stays flat in the trial count.
+One Stokes solve, S^-1 formed once per call and applied row by row, serves
+every estimator: reconstruct_md and reconstruct_mdl are one-row cases, and
+both Monte Carlos estimate each bounded block of trials as they draw it, so
+a trial reads bit for bit what the single call reads and memory stays flat
+in the trial count.
 Delay deviations from tau0 and power readings must be finite.  Both Monte
 Carlos predict their error by one law: reading noise of covariance R R^T
 reconstructs to a mean square ||2 c_n^2 S^-1 R||_F^2.
@@ -38,7 +39,8 @@ is supplied.  Nonlinearity and distributed mode coupling are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,7 +89,7 @@ DELAY_MODES = ("analytic", "waveform")
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class FiberModel:
     """Lumped n-mode fiber: unitary delay part plus optional mode loss.
 
@@ -104,6 +106,9 @@ class FiberModel:
     pa_slope : optional d a_k / d omega (s/m); loss is frequency-flat when
         omitted.
     z : fiber length (m); only the products a_k * z enter the model.
+
+    The model is immutable: its array fields are read-only copies, so the
+    operators built once from them (delay_operator, squared_loss) stay valid.
     """
 
     n: int
@@ -119,23 +124,24 @@ class FiberModel:
         n = self.n
         if n < 2:
             raise DimensionError("need at least 2 modes")
-        md = np.asarray(self.md_vector, dtype=float)
+        md = np.array(self.md_vector, dtype=float)
         if md.shape != (n * n - 1,):
             raise DimensionError(
                 f"md_vector for n={n} needs shape ({n * n - 1},), got {md.shape}")
         _finite(md, "md_vector")
         if not math.isfinite(self.tau0):
             raise ConfigError(f"tau0 must be finite, got {self.tau0}")
-        u = np.asarray(self.base_unitary, dtype=complex)
+        u = np.array(self.base_unitary, dtype=complex)
         if u.shape != (n, n):
             raise DimensionError(f"base_unitary must be ({n}, {n}), got {u.shape}")
         if np.max(np.abs(u.conj().T @ u - np.eye(n))) > 1e-12:
             raise DimensionError("base_unitary must be unitary to 1e-12")
         if (self.pa_coeffs is None) != (self.pa_modes is None):
             raise ConfigError("pa_coeffs and pa_modes must be given together")
+        fields = {"md_vector": md, "base_unitary": u}
         if self.pa_coeffs is not None:
-            a = np.asarray(self.pa_coeffs, dtype=float)
-            v = np.asarray(self.pa_modes, dtype=complex)
+            a = np.array(self.pa_coeffs, dtype=float)
+            v = np.array(self.pa_modes, dtype=complex)
             if a.shape != (n,):
                 raise DimensionError(f"pa_coeffs must have shape ({n},)")
             _finite(a, "pa_coeffs")
@@ -145,22 +151,31 @@ class FiberModel:
                 raise DimensionError("pa_modes rows must be orthonormal")
             if not (np.isfinite(self.z) and self.z >= 0.0):
                 raise ConfigError("fiber length must be finite and non-negative")
-            self.pa_coeffs = a
-            self.pa_modes = v
+            fields.update(pa_coeffs=a, pa_modes=v)
         if self.pa_slope is not None:
             if self.pa_coeffs is None:
                 raise ConfigError("pa_slope needs pa_coeffs")
-            sl = np.asarray(self.pa_slope, dtype=float)
+            sl = np.array(self.pa_slope, dtype=float)
             if sl.shape != (n,):
                 raise DimensionError(f"pa_slope must have shape ({n},)")
             _finite(sl, "pa_slope")
-            self.pa_slope = sl
-        self.md_vector = md
-        self.base_unitary = u
+            fields.update(pa_slope=sl)
+        for name, value in fields.items():
+            object.__setattr__(self, name, _read_only(value))
 
     @property
     def m(self) -> int:
         return self.n * self.n - 1
+
+    @cached_property
+    def delay_operator(self) -> np.ndarray:
+        """Hermitian generator tau0*I + md_vector . L / (2 c_n), built once."""
+        return _read_only(assemble(self.n, self.tau0, self.md_vector))
+
+    @cached_property
+    def squared_loss(self) -> np.ndarray:
+        """P^2 at the carrier, built once; identity for a lossless fiber."""
+        return _read_only(self.loss_matrix(squared=True))
 
     def loss_matrix(self, domega: float = 0.0, squared: bool = False) -> np.ndarray:
         """P (or P^2) at detuning domega; identity for a lossless fiber."""
@@ -344,8 +359,8 @@ def synth_mdl_fiber(n: int, pa_coeffs, z: float, seed: int = 0,
 
 
 def delay_operator(f: FiberModel) -> np.ndarray:
-    """Hermitian generator tau0*I + md_vector . L / (2 c_n)."""
-    return assemble(f.n, f.tau0, f.md_vector)
+    """Hermitian generator tau0*I + md_vector . L / (2 c_n), read-only."""
+    return f.delay_operator
 
 
 def propagate_unitary(f: FiberModel, domega: float) -> np.ndarray:
@@ -506,10 +521,11 @@ def estimate_tau0(f: FiberModel, rx: ReceiverModel, simplex: SimplexSet,
 # ---------------------------------------------------------------------------
 
 def _readings(values, count: int, what: str) -> np.ndarray:
-    """`count` outside readings as a float array."""
+    """`count` outside readings as a float array of shape (count,)."""
     values = np.asarray(values, dtype=float)
     if values.shape != (count,):
-        raise DimensionError(f"need {count} {what}, got {values.size}")
+        raise DimensionError(
+            f"need {what} of shape ({count},), got shape {values.shape}")
     return values
 
 
@@ -520,23 +536,32 @@ def _finite(values: np.ndarray, what: str = "measurement value"):
     return values
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """`values`, made read-only in place."""
+    values.flags.writeable = False
+    return values
+
+
 def _solve_stokes(launch_set: LaunchSet, dev: np.ndarray) -> np.ndarray:
-    """Solve S x = 2 c_n^2 d for each row d of a (t, m) stack, each row its
-    own right-hand side, so that it solves bit for bit as it does alone; a
-    singular Stokes coefficient matrix S raises SingularSetError."""
+    """x = 2 c_n^2 S^-1 d for each row d of a (t, m) stack.  The scaled
+    inverse is formed once per call and applied to each row by a 2-operand
+    einsum, which rounds each row the same at any t (see _expectation): a
+    row solves bit for bit as it does alone.  A singular Stokes coefficient
+    matrix S raises SingularSetError."""
     c = norm_coeff(launch_set.n)
     try:
-        return np.linalg.solve(launch_set.stokes_matrix(),
-                               2.0 * c * c * dev[..., None])[..., 0]
+        inverse = np.linalg.inv(launch_set.stokes_matrix())
     except np.linalg.LinAlgError as exc:
         raise SingularSetError("stokes coefficient matrix is singular") from exc
+    return np.einsum("ij,tj->ti", 2.0 * c * c * inverse, dev)
 
 
 def reconstruct_md(launch_set: LaunchSet, delays, tau0: float) -> np.ndarray:
     """Delay vector from one delay (s) per launch, via a linear solve.
 
     The deviations tau_g - tau0, which must be finite, scaled by 2 c_n^2
-    are the right-hand side of S x = b, S the set's Stokes coefficient matrix.
+    are the right-hand side b of S x = b, S the set's Stokes coefficient
+    matrix, solved as x = S^-1 b.
     """
     dev = _finite(_readings(delays, launch_set.m, "records") - tau0)
     return _solve_stokes(launch_set, dev[None])[0]
@@ -625,7 +650,7 @@ def measure_attenuation(f: FiberModel, state, rel_noise: float = 0.0,
     state = _launch_state(f, state)
     if not 0.0 <= rel_noise < math.inf:
         raise ConfigError("rel_noise must be finite and non-negative")
-    value = _expectation(f.loss_matrix(squared=True), state)
+    value = _expectation(f.squared_loss, state)
     if rel_noise > 0:
         if seed is None:
             raise ConfigError("a seed is required for noisy power readings")
@@ -635,7 +660,7 @@ def measure_attenuation(f: FiberModel, state, rel_noise: float = 0.0,
 
 def mdl_parameters(f: FiberModel) -> tuple[float, np.ndarray]:
     """True (alpha0, gamma) of the fiber's P^2 in its Stokes expansion."""
-    scalar, vector = expand_matrix(f.loss_matrix(squared=True))
+    scalar, vector = expand_matrix(f.squared_loss)
     alpha0 = float(scalar.real)
     return alpha0, vector.real / alpha0
 
@@ -657,10 +682,11 @@ def _estimate_mdl(launch_set: LaunchSet, reads: np.ndarray):
     """(alpha0, gamma, mdl_ratio) of each row of (t, m + n) readings, set
     then simplex: alpha0 is the simplex mean (the orthonormal Stokes images
     sum to zero), gamma comes from the Stokes solve of the delay vector, and
-    mdl_ratio from the eigenvalues of the rebuilt P^2.  Each row is its own
-    right-hand side and eigvalsh, so it reads bit for bit what it reads
-    alone.  The first row with alpha0 <= 0 or a P^2 not positive definite
-    raises EstimationFailedError: its records describe no physical loss."""
+    mdl_ratio from the eigenvalues of the rebuilt P^2.  Each row is solved
+    and its eigvalsh taken on its own, so it reads bit for bit what it
+    reads alone.  The first row with alpha0 <= 0 or a P^2 not positive
+    definite raises EstimationFailedError: its records describe no physical
+    loss."""
     m = launch_set.m
     alpha0 = np.add.reduce(reads[:, m:], axis=1) / (reads.shape[1] - m)
     if not alpha0.min() > 0:

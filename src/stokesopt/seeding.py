@@ -14,6 +14,18 @@ __all__ = ["rng_for"]
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
-    """Generator for (seed, stream...) with scheduling-independent output."""
-    seq = np.random.SeedSequence([int(seed), *[int(s) for s in stream]])
+    """Generator for (seed, stream...) with scheduling-independent output.
+
+    Each int is split into little-endian 32-bit words, as SeedSequence
+    splits the ints of a list, and all words enter as one uint32 array:
+    the stream of SeedSequence([seed, *stream]), without its per-int cost."""
+    words = []
+    for value in (seed, *stream):
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"seeds must be non-negative, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.Philox(seq))

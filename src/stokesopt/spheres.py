@@ -87,15 +87,16 @@ def _lbfgs_direction(g: np.ndarray, pairs: list,
     like g, and None stands for the unit metric (H0 = s.y / y.y).  Complex
     entries count as pairs of reals: every inner product is Re vdot."""
     q, alphas = g, []
-    for s, y in reversed(pairs):
-        alphas.append(np.vdot(s, q).real / np.vdot(y, s).real)
+    curvatures = [np.vdot(y, s).real for s, y in pairs]
+    for (s, y), ys in zip(reversed(pairs), reversed(curvatures)):
+        alphas.append(np.vdot(s, q).real / ys)
         q = q - alphas[-1] * y
     if pairs:
         s, y = pairs[-1]
         hy, hq = (y, q) if metric is None else (y / metric, q / metric)
         q = (np.vdot(s, y).real / np.vdot(y, hy).real) * hq
-    for (s, y), a in zip(pairs, reversed(alphas)):
-        q = q + (a - np.vdot(y, q).real / np.vdot(y, s).real) * s
+    for (s, y), ys, a in zip(pairs, curvatures, reversed(alphas)):
+        q = q + (a - np.vdot(y, q).real / ys) * s
     return -q
 
 

@@ -21,7 +21,12 @@ from stokesopt.errors import (
     EstimationFailedError,
     SingularSetError,
 )
-from stokesopt.gellmann import expand_matrix, jones_to_stokes, norm_coeff
+from stokesopt.gellmann import (
+    assemble,
+    expand_matrix,
+    jones_to_stokes,
+    norm_coeff,
+)
 from stokesopt.metrics import variance_prediction
 from stokesopt.seeding import rng_for
 from stokesopt.sets import (
@@ -147,6 +152,31 @@ def test_fiber_model_rejects_bad_inputs():
     with pytest.raises(ConfigError, match="pa_slope must be finite"):
         fsim.FiberModel(2, 0.0, np.zeros(3), eye, pa_coeffs=np.ones(2),
                         pa_modes=eye, pa_slope=np.array([math.nan, 0.0]))
+
+
+def test_fiber_model_is_frozen_with_operators_built_once():
+    md = rng_for(3, 17).normal(0.0, PS, 8)
+    f = fsim.synth_mdl_fiber(3, np.array([0.05, 0.3, 0.6]), z=1.5, seed=11,
+                             tau0=2 * PS, md_vector=md,
+                             pa_slope=np.array([1e-3, 0.0, -2e-3]))
+    for name, value in (("tau0", 0.0), ("md_vector", np.zeros(8)),
+                        ("z", 2.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, value)
+    # the fields are copies the caller's array cannot reach, and read-only
+    md[0] = 1.0
+    assert f.md_vector[0] != 1.0
+    for value in (f.md_vector, f.base_unitary, f.pa_coeffs, f.pa_modes,
+                  f.pa_slope, f.delay_operator, f.squared_loss):
+        assert not value.flags.writeable
+    assert fsim.delay_operator(f) is f.delay_operator
+    assert f.squared_loss is f.squared_loss
+    assert np.array_equal(f.delay_operator,
+                          assemble(3, f.tau0, f.md_vector))
+    v, scale = f.pa_modes, np.exp(-f.pa_coeffs * f.z)
+    assert np.array_equal(f.squared_loss, (v.T * scale) @ v.conj())
+    assert np.array_equal(f.squared_loss, f.loss_matrix(squared=True))
+    assert np.array_equal(random_fiber(3, seed=1).squared_loss, np.eye(3))
 
 
 def test_receiver_rejects_bad_configs():
@@ -357,10 +387,34 @@ def test_zero_md_reconstructs_zero():
     assert np.max(np.abs(recovered)) < 1e-24
 
 
+@pytest.mark.parametrize("launch", [bundled_optimal_set(), yang_nolan(2),
+                                    yang_nolan(3), yang_nolan(5)],
+                         ids=lambda ls: f"n{ls.n}")
+def test_reconstruct_md_matches_a_direct_solve(launch):
+    """One S^-1 per call reads what an LU solve of S x = 2 c^2 d reads."""
+    c = norm_coeff(launch.n)
+    rng = rng_for(12, launch.n)
+    for _ in range(5):
+        delays = 3 * PS + rng.normal(0.0, PS, launch.m)
+        direct = np.linalg.solve(launch.stokes_matrix(),
+                                 2.0 * c * c * (delays - 3 * PS))
+        got = fsim.reconstruct_md(launch, delays, 3 * PS)
+        assert (np.linalg.norm(got - direct)
+                <= 1e-12 * np.linalg.norm(direct))
+
+
 def test_reconstruction_error_paths():
     ls = random_set(2, seed=1)
     with pytest.raises(DimensionError, match="records"):
         fsim.reconstruct_md(ls, [0.0, 0.0], 0.0)
+    # three records in a column: the message names both shapes
+    with pytest.raises(DimensionError,
+                       match=r"shape \(3,\), got shape \(3, 1\)"):
+        fsim.reconstruct_md(ls, [[0.0], [0.0], [0.0]], 0.0)
+    with pytest.raises(DimensionError,
+                       match=r"shape \(2,\), got shape \(1, 2\)"):
+        fsim.reconstruct_mdl(ls, simplex_set(2), [1.0, 1.0, 1.0],
+                             [[1.0, 1.0]])
     dup = ls.states.copy()
     dup[1] = dup[0]
     degenerate = type(ls)(n=2, states=dup)
