@@ -1,24 +1,26 @@
 """Command-line front end: set generation, optimization, evaluation, family
 sweeps and fiber simulation, wired for reproducible file output.
 
-Every command is a pure function of its flags, input files and seed.  Rerun
-the same invocation and every written file comes back byte for byte, with
-one exception: the manifest JSON that sits next to each output records the
-timestamp and wall time of the run that produced it.  Each command names
-its manifest once, from its main output (STEM.manifest.json for `optimize`);
-output files point back at it (JSON outputs through a meta field, CSVs
-through a leading comment line), and it lists exactly the paths the run
-wrote.  A failed `optimize` search still writes STEM_starts.csv, one row per
-start, and a manifest that lists only that file.
+Every command is a pure function of its flags, input files and seed: a
+rerun rewrites every file byte for byte but the manifest, which records the
+run's timestamp and wall time.  One writer, `_Outputs`, is built before any
+work from every path a command may write.  It names the manifest after the
+first (STEM.manifest.json, a .json or .csv suffix dropped) and refuses,
+with exit 2, two paths naming one file or a path naming the manifest.  Each
+output points back at the manifest (meta.manifest in a set, manifest in
+result JSON, a leading comment line in a CSV), which lists exactly the
+files written, in order; a failed `optimize` search writes only
+STEM_starts.csv, one row per start, and its manifest.
 
 Scenario files for `simulate` are JSON objects:
 
     mode          "md", "mdl" or "joint"
     seed          integer noise seed (default 0)
     trials        Monte-Carlo repetitions (md and mdl modes)
-    launch_set    path to a launch-set file, relative to the scenario
+    launch_set    path to a launch-set file, relative to the scenario; its
+                  mode count must be the fiber's
     fiber         {n, tau0, md_vector, unitary_seed, pa_coeffs?, z?, pa_slope?}
-    receiver      keyword arguments of ReceiverModel (md and joint modes)
+    receiver      the fields of ReceiverModel, all numbers (md and joint)
     measurement   "analytic" or "waveform" (md mode, default "analytic")
     attenuation_rel_noise   relative power-meter noise (mdl mode, default 0)
     simplex_seed  seed of the orthonormal common-mode basis (default: seed)
@@ -37,11 +39,13 @@ or malformed input file, or any other OS error such as an unwritable output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -71,16 +75,33 @@ from .sets import (
     mub_gram,
     mub_set,
     random_set,
+    read_json,
     save_set,
     sic_gram,
     sic_search,
     simplex_set,
+    write_json,
     yang_nolan,
     _is_prime,
 )
 
-GEN_FAMILIES = ("yang", "mub", "sic", "simplex", "random")
-SWEEP_FAMILIES = ("yang", "mub", "random", "sic", "sic-analytic", "mub-analytic")
+# Every named family, in the order flags list them: (kind, build(n, seed,
+# tol)).  A "set" is a LaunchSet scored by `metrics`, a "gram" a Gram scored
+# by `metrics_from_gram`, a "basis" an unscored SimplexSet.  Builders look
+# their constructor up here when called, so wrappers on this module see it.
+FAMILIES = {
+    "yang": ("set", lambda n, seed, tol: yang_nolan(n)),
+    "mub": ("set", lambda n, seed, tol: mub_set(n)),
+    "sic": ("set", lambda n, seed, tol: sic_search(n, seed=seed, tol=tol)),
+    "random": ("set", lambda n, seed, tol: random_set(n, seed=seed)),
+    "simplex": ("basis", lambda n, seed, tol: simplex_set(n, seed=seed)),
+    "sic-analytic": ("gram", lambda n, seed, tol: sic_gram(n)),
+    "mub-analytic": ("gram", lambda n, seed, tol: mub_gram(n)),
+}
+
+
+def _family_names(*kinds) -> tuple:
+    return tuple(name for name, (kind, _) in FAMILIES.items() if kind in kinds)
 
 
 class _InputError(Exception):
@@ -96,69 +117,75 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _load_set_checked(path) -> LaunchSet:
+@contextmanager
+def _reading(path, part: str = ""):
+    """Exit 4 for an input file that cannot be read, or whose content (its
+    `part`, when named) is malformed."""
     try:
-        return load_set(path)
+        yield
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except (ConfigError, DimensionError) as exc:
-        raise _InputError(str(exc)) from exc
+        where = f"{path}: {part}: " if part else ""
+        raise _InputError(f"{where}{exc}") from exc
 
 
-def _read_json(path) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise _InputError(f"{path}: top level must be a JSON object")
-    return doc
+def _load_set(path) -> LaunchSet:
+    with _reading(path):
+        return load_set(path)
 
 
-def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+class _Outputs:
+    """The one writer of a run's files and of its manifest (module doc).
 
+    `paths` are every file the command may write, main output first, None
+    or "" for an unset optional one.
+    """
 
-def _write_csv(path, manifest_name: str, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# manifest: {manifest_name}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    def __init__(self, args, *paths: str | None):
+        self.args, self.started, self.written = args, time.time(), []
+        self.paths = tuple(p for p in paths if p)
+        main = self.paths[0]
+        stem = next((main[:-len(ext)] for ext in (".json", ".csv")
+                     if main.endswith(ext)), main)
+        self.path = stem + ".manifest.json"
+        self.name = Path(self.path).name
+        every = (*self.paths, self.path)
+        if len({Path(p).resolve() for p in every}) < len(every):
+            raise ConfigError("outputs and manifest must be distinct files, "
+                              "got " + ", ".join(every))
 
+    def set(self, s, path: str) -> None:
+        s.meta["manifest"] = self.name
+        save_set(s, path)
+        self.written.append(path)
 
-def _manifest_path(first_output: str) -> str:
-    stem = first_output
-    for ext in (".json", ".csv"):
-        if stem.endswith(ext):
-            stem = stem[: -len(ext)]
-            break
-    return stem + ".manifest.json"
+    def json(self, path: str, doc: dict) -> None:
+        doc["manifest"] = self.name
+        write_json(path, doc)
+        self.written.append(path)
 
+    def csv(self, path: str, header: str, rows) -> None:
+        with open(path, "w") as fh:
+            fh.write(f"# manifest: {self.name}\n{header}\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
+        self.written.append(path)
 
-def _write_manifest(args, path: str, outputs, started: float,
-                    workers: int | None = None) -> None:
-    """The run's manifest at `path`, listing `outputs`, the files it wrote,
-    and for pooled commands the pool width it used."""
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "command")}
-    doc = {
-        "command": args.command,
-        "config": config,
-        "seed": getattr(args, "seed", None),
-        "version": __version__,
-        "wall_time_s": time.time() - started,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": [str(p) for p in outputs],
-    }
-    if workers is not None:
-        doc["workers"] = workers
-    _write_json(path, doc)
+    def manifest(self, workers: int | None = None) -> None:
+        """Write the manifest; pooled commands record their pool width."""
+        doc = {
+            "command": self.args.command,
+            "config": {k: v for k, v in vars(self.args).items()
+                       if k not in ("func", "command")},
+            "seed": getattr(self.args, "seed", None),
+            "version": __version__,
+            "wall_time_s": time.time() - self.started,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "outputs": list(self.written),
+        }
+        if workers is not None:
+            doc["workers"] = workers
+        write_json(self.path, doc)
 
 
 def _print_summary(info: dict) -> None:
@@ -169,38 +196,20 @@ def _print_summary(info: dict) -> None:
 # gen-set
 # ---------------------------------------------------------------------------
 
-def _build_family(family: str, n: int, seed: int, tol: float) -> LaunchSet:
-    """The named launch set of gen-set, optimize --init and sweep."""
-    if family == "yang":
-        return yang_nolan(n)
-    if family == "mub":
-        return mub_set(n)
-    if family == "sic":
-        return sic_search(n, seed=seed, tol=tol)
-    if family == "random":
-        return random_set(n, seed=seed)
-    raise ConfigError(f"unknown family {family!r}, pick from {GEN_FAMILIES}")
-
-
 def cmd_gen_set(args) -> int:
-    started = time.time()
-    out = args.out or f"{args.family}_n{args.n}.json"
-    manifest = _manifest_path(out)
-    manifest_name = Path(manifest).name
-    if args.family == "simplex":
-        s = simplex_set(args.n, seed=args.seed)
-    else:
-        s = _build_family(args.family, args.n, args.seed, args.tol)
-    s.meta["manifest"] = manifest_name
-    save_set(s, out)
+    path = args.out or f"{args.family}_n{args.n}.json"
+    out = _Outputs(args, path)
+    kind, build = FAMILIES[args.family]
+    s = build(args.n, args.seed, args.tol)
+    out.set(s, path)
     summary = {"family": s.family, "n": s.n, "states": len(s.states),
-               "out": out}
-    if args.family != "simplex":
+               "out": path}
+    if kind == "set":
         mt = metrics(s)
         summary.update(xi=mt.xi, penalty_db=mt.penalty_db)
         if "residual" in s.meta:
             summary["residual"] = s.meta["residual"]
-    _write_manifest(args, manifest, [out], started)
+    out.manifest()
     _print_summary(summary)
     return 0
 
@@ -211,22 +220,23 @@ def cmd_gen_set(args) -> int:
 
 def _initial_for(init: str, n: int, seed: int, tol: float) -> LaunchSet:
     if init.startswith("file:"):
-        return _load_set_checked(init[len("file:"):])
-    if init not in ("sic", "mub", "yang"):
-        raise ConfigError(
-            f"unknown init {init!r}; use random, sic, mub, yang or file:PATH")
-    return _build_family(init, n, seed, tol)
+        s = _load_set(init[len("file:"):])
+        if s.n != n:
+            raise ConfigError(
+                f"--init {init} holds a {s.n}-mode set, but --n is {n}")
+        return s
+    names = _family_names("set")
+    if init not in names:
+        raise ConfigError(f"unknown init {init!r}; use "
+                          f"{', '.join(names)} or file:PATH")
+    return FAMILIES[init][1](n, seed, tol)
 
 
 def _starts_rows(runs) -> list:
-    rows = []
-    for i, run in enumerate(runs):
-        rows.append([
-            str(i), run.algorithm, _fmt(run.initial_xi), _fmt(run.final_xi),
-            _fmt(run.grad_norm), str(run.iterations_used),
-            str(int(run.converged)), str(int(run.aborted)), run.stop_reason,
-        ])
-    return rows
+    return [[str(i), run.algorithm, _fmt(run.initial_xi), _fmt(run.final_xi),
+             _fmt(run.grad_norm), str(run.iterations_used),
+             str(int(run.converged)), str(int(run.aborted)), run.stop_reason]
+            for i, run in enumerate(runs)]
 
 
 def _cli_workers() -> int:
@@ -246,13 +256,10 @@ _STARTS_HEADER = ("start,algorithm,initial_xi,final_xi,grad_norm,"
 
 
 def cmd_optimize(args) -> int:
-    started = time.time()
     stem = args.out or f"opt_n{args.n}_{args.algo}"
-    set_path = stem + ".json"
-    starts_path = stem + "_starts.csv"
-    traj_path = stem + "_trajectory.csv"
-    manifest = _manifest_path(set_path)
-    manifest_name = Path(manifest).name
+    out = _Outputs(args, stem + ".json", stem + "_starts.csv",
+                   stem + "_trajectory.csv")
+    set_path, starts_path, traj_path = out.paths
     config = OptimizerConfig(algorithm=args.algo, max_iters=args.max_iter,
                              seed=args.seed)
     if args.init == "random":
@@ -277,21 +284,18 @@ def cmd_optimize(args) -> int:
                     f"{runs[0].stop_reason}", diagnostics=runs)
     except SearchFailedError as exc:
         # a failed search still reports every start it ran
-        _write_csv(starts_path, manifest_name, _STARTS_HEADER,
-                   _starts_rows(exc.diagnostics))
-        _write_manifest(args, manifest, [starts_path], started, workers)
+        out.csv(starts_path, _STARTS_HEADER, _starts_rows(exc.diagnostics))
+        out.manifest(workers)
         raise
 
     best = runs[best_index]
     best_set = best.final_set
-    best_set.meta["manifest"] = manifest_name
-    save_set(best_set, set_path)
-    _write_csv(starts_path, manifest_name, _STARTS_HEADER, _starts_rows(runs))
-    _write_csv(traj_path, manifest_name, "iteration,xi,grad_norm",
-               [[str(int(it)), _fmt(xi), _fmt(gn)]
-                for it, xi, gn in best.trajectory])
-    _write_manifest(args, manifest, [set_path, starts_path, traj_path],
-                    started, workers)
+    out.set(best_set, set_path)
+    out.csv(starts_path, _STARTS_HEADER, _starts_rows(runs))
+    out.csv(traj_path, "iteration,xi,grad_norm",
+            [[str(int(it)), _fmt(xi), _fmt(gn)]
+             for it, xi, gn in best.trajectory])
+    out.manifest(workers)
     mt = metrics(best_set)
     _print_summary({
         "algorithm": args.algo, "n": args.n, "init": args.init,
@@ -307,7 +311,7 @@ def cmd_optimize(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
-    s = _load_set_checked(args.set)
+    s = _load_set(args.set)
     mt = metrics(s)
     print(json.dumps({
         "n": mt.n, "m": mt.m, "family": s.family, "xi": mt.xi,
@@ -344,12 +348,9 @@ def _parse_n_list(text: str) -> list:
 def _sweep_row(job) -> list:
     """The six CSV fields of one sweep row, job = (family, n, seed, tol)."""
     family, n, seed, tol = job
-    if family == "sic-analytic":
-        mt = metrics_from_gram(sic_gram(n))
-    elif family == "mub-analytic":
-        mt = metrics_from_gram(mub_gram(n))
-    else:
-        mt = metrics(_build_family(family, n, seed, tol))
+    kind, build = FAMILIES[family]
+    built = build(n, seed, tol)
+    mt = metrics_from_gram(built) if kind == "gram" else metrics(built)
     return [str(n), family, _fmt(mt.xi), _fmt(mt.penalty_db),
             _fmt(mt.condition_number), _fmt(mt.log_volume)]
 
@@ -363,17 +364,17 @@ def cmd_sweep(args) -> int:
     not depend on the width, and a failing row raises the first error in
     table order, as the serial loop does.
     """
-    started = time.time()
+    path = args.out or "sweep.csv"
+    out = _Outputs(args, path)
+    names = _family_names("set", "gram")
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families:
         raise ConfigError("families list is empty")
     for fam in families:
-        if fam not in SWEEP_FAMILIES:
+        if fam not in names:
             raise ConfigError(
-                f"unknown sweep family {fam!r}, pick from {SWEEP_FAMILIES}")
+                f"unknown sweep family {fam!r}, pick from {names}")
     ns = _parse_n_list(args.n_list)
-    out = args.out or "sweep.csv"
-    manifest = _manifest_path(out)
 
     jobs, skipped = [], []
     for fam in families:
@@ -391,10 +392,9 @@ def cmd_sweep(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, jobs))
-    _write_csv(out, Path(manifest).name,
-               "n,family,xi,penalty_db,condition_number,log_volume", rows)
-    _write_manifest(args, manifest, [out], started, workers)
-    _print_summary({"rows": len(rows), "skipped": skipped, "out": out})
+    out.csv(path, "n,family,xi,penalty_db,condition_number,log_volume", rows)
+    out.manifest(workers)
+    _print_summary({"rows": len(rows), "skipped": skipped, "out": path})
     return 0
 
 
@@ -441,7 +441,7 @@ def _fiber_from(doc: dict, where: str) -> fibersim.FiberModel:
     md = _numbers_field(fd, "md_vector", sub)
     seed = _seed_field(fd, "unitary_seed", sub, 0)
     z = _scenario_field(fd, "z", float, sub, 1.0)
-    try:
+    with _reading(where, "fiber"):
         if "pa_coeffs" in fd:
             return fibersim.synth_mdl_fiber(
                 n, _numbers_field(fd, "pa_coeffs", sub),
@@ -450,26 +450,26 @@ def _fiber_from(doc: dict, where: str) -> fibersim.FiberModel:
                 pa_slope=(_numbers_field(fd, "pa_slope", sub)
                           if "pa_slope" in fd else None))
         return fibersim.synth_md_fiber(n, tau0, md, seed=seed)
-    except (ConfigError, DimensionError, ValueError) as exc:
-        raise _InputError(f"{sub}: {exc}") from exc
 
 
 def _receiver_from(doc: dict, where: str) -> ReceiverModel:
     rd = _scenario_field(doc, "receiver", dict, where)
-    fields = {k: _scenario_field(rd, k, str if k == "quadrature" else float,
-                                 f"{where}: receiver") for k in rd}
-    try:
-        return ReceiverModel(**fields)
-    except (ConfigError, DimensionError, TypeError) as exc:
-        raise _InputError(f"{where}: receiver: {exc}") from exc
+    sub = f"{where}: receiver"
+    unknown = set(rd) - {f.name for f in dataclasses.fields(ReceiverModel)}
+    if unknown:
+        raise _InputError(f"{sub}: unknown field '{min(unknown)}'")
+    with _reading(where, "receiver"):
+        return ReceiverModel(**{k: _scenario_field(rd, k, float, sub)
+                                for k in rd})
 
 
-def _launch_set_from(doc: dict, scenario_path: Path, where: str) -> LaunchSet:
-    rel = _scenario_field(doc, "launch_set", str, where)
-    path = Path(rel)
-    if not path.is_absolute():
-        path = scenario_path.parent / path
-    return _load_set_checked(path)
+def _launch_set_from(doc: dict, scenario: Path, n: int) -> LaunchSet:
+    rel = _scenario_field(doc, "launch_set", str, str(scenario))
+    ls = _load_set(scenario.parent / rel)  # an absolute rel stays as is
+    if ls.n != n:
+        raise _InputError(f"{scenario}: launch_set {rel} has {ls.n} modes, "
+                          f"fiber has {n}")
+    return ls
 
 
 def _simulate_md(doc, fiber, ls, seed, where):
@@ -568,31 +568,26 @@ def _simulate_joint(doc, fiber, ls, seed, where):
 
 
 def cmd_simulate(args) -> int:
-    started = time.time()
     scenario_path = Path(args.scenario)
     where = str(scenario_path)
-    doc = _read_json(scenario_path)
+    path = args.out or scenario_path.stem + "_results.json"
+    out = _Outputs(args, path, args.trials_out)
+    with _reading(where):
+        doc = read_json(scenario_path)
     mode = _scenario_field(doc, "mode", str, where)
     runners = {"md": _simulate_md, "mdl": _simulate_mdl,
                "joint": _simulate_joint}
     if mode not in runners:
         raise _InputError(f"{where}: mode must be one of {sorted(runners)}")
     fiber = _fiber_from(doc, where)
-    ls = _launch_set_from(doc, scenario_path, where)
+    ls = _launch_set_from(doc, scenario_path, fiber.n)
     seed = _seed_field(doc, "seed", where, 0)
-    out = args.out or scenario_path.stem + "_results.json"
-    manifest = _manifest_path(out)
-    manifest_name = Path(manifest).name
 
     summary, trial_table = runners[mode](doc, fiber, ls, seed, where)
-    summary["manifest"] = manifest_name
-    outputs = [out]
+    out.json(path, summary)
     if args.trials_out and trial_table is not None:
-        header, rows = trial_table
-        _write_csv(args.trials_out, manifest_name, header, rows)
-        outputs.append(args.trials_out)
-    _write_json(out, summary)
-    _write_manifest(args, manifest, outputs, started)
+        out.csv(args.trials_out, *trial_table)
+    out.manifest()
     _print_summary(summary)
     return 0
 
@@ -624,7 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser(
         "gen-set", help="construct a named launch-set family and save it")
-    g.add_argument("--family", required=True, choices=GEN_FAMILIES)
+    g.add_argument("--family", required=True,
+                   choices=_family_names("set", "basis"))
     g.add_argument("--n", type=int, required=True, help="mode count")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--tol", type=float, default=1e-8,
@@ -638,9 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--algo", default="hyperspherical", choices=ALGORITHMS)
     o.add_argument("--init", default="random",
-                   help="random (multi-start), sic, mub, yang, or file:PATH; "
-                        "non-random inits get a deterministic 1e-6 tangent "
-                        "nudge off exact stationary points")
+                   help=", ".join(_family_names("set")) + " or file:PATH; "
+                        "random runs --starts descents, the others one, "
+                        "nudged 1e-6 off exact stationary points")
     o.add_argument("--starts", type=int, default=8,
                    help="random starts (ignored for non-random --init)")
     o.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
@@ -660,7 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser(
         "sweep", help="tabulate family metrics over mode counts as CSV")
     w.add_argument("--families", required=True,
-                   help="comma list from: " + ", ".join(SWEEP_FAMILIES)
+                   help="comma list from: "
+                        + ", ".join(_family_names("set", "gram"))
                         + " (mub rows cover prime n only)")
     w.add_argument("--n-list", required=True, dest="n_list",
                    help="mode counts, e.g. '2,3,5-8'")

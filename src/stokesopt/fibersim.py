@@ -62,7 +62,6 @@ __all__ = [
     "ComplexGdOperator",
     "synth_md_fiber",
     "synth_mdl_fiber",
-    "delay_operator",
     "propagate_unitary",
     "numeric_gd_expansion",
     "group_delay",
@@ -207,7 +206,6 @@ class ReceiverModel:
     pulse_width : Gaussian 1/e power half-width (s).
     sample_rate : ADC rate (Hz).
     energy : detected pulse energy (J), used to scale the noise formulas.
-    quadrature : first-moment integration rule; only "simpson38".
 
     The window must cover the pulse (window > 4 * pulse_width) and hold
     3k + 1 samples so the composite Simpson 3/8 rule applies exactly.
@@ -219,7 +217,6 @@ class ReceiverModel:
     pulse_width: float
     sample_rate: float
     energy: float
-    quadrature: str = "simpson38"
 
     def __post_init__(self):
         for name in ("responsivity", "window", "pulse_width", "sample_rate",
@@ -229,9 +226,6 @@ class ReceiverModel:
                 raise ConfigError(f"{name} must be positive, got {value}")
         if not (np.isfinite(self.noise_psd) and self.noise_psd >= 0):
             raise ConfigError("noise_psd must be non-negative")
-        if self.quadrature != "simpson38":
-            raise ConfigError(
-                f"unsupported quadrature rule {self.quadrature!r}")
         if self.window <= 4.0 * self.pulse_width:
             raise ConfigError(
                 "integration window must exceed 4x the pulse half-width")
@@ -358,16 +352,11 @@ def synth_mdl_fiber(n: int, pa_coeffs, z: float, seed: int = 0,
                       pa_slope=pa_slope, z=float(z))
 
 
-def delay_operator(f: FiberModel) -> np.ndarray:
-    """Hermitian generator tau0*I + md_vector . L / (2 c_n), read-only."""
-    return f.delay_operator
-
-
 def propagate_unitary(f: FiberModel, domega: float) -> np.ndarray:
     """U at detuning domega: U(0) exp(-i * delay_operator * domega)."""
     if domega == 0.0:
         return np.array(f.base_unitary)
-    d, v = np.linalg.eigh(delay_operator(f))
+    d, v = np.linalg.eigh(f.delay_operator)
     phases = np.exp(-1j * d * domega)
     return f.base_unitary @ ((v * phases) @ v.conj().T)
 
@@ -405,7 +394,7 @@ def _expectation(op: np.ndarray, states):
 def group_delay(f: FiberModel, states):
     """Narrowband delay <s| delay_operator |s> = tau0 + md_vector . s_hat /
     (2 c_n^2) of a unit launch state (n,), or of each row of a (k, n) stack."""
-    return _expectation(delay_operator(f), states)
+    return _expectation(f.delay_operator, states)
 
 
 def _rng_from(seed) -> np.random.Generator:
@@ -450,7 +439,7 @@ def _readout(f: FiberModel, states: np.ndarray, rx: ReceiverModel,
     amp = math.sqrt(peak) * np.exp(-(t * t) / (2.0 * rx.pulse_width ** 2))
     domegas = 2.0 * np.pi * np.fft.fftfreq(rx.sample_count,
                                            d=1.0 / rx.sample_rate)
-    eig_delays, pms = np.linalg.eigh(delay_operator(f))
+    eig_delays, pms = np.linalg.eigh(f.delay_operator)
     mode_pulses = np.fft.ifft(np.fft.fft(amp)[:, None]
                               * np.exp(-1j * np.outer(domegas, eig_delays)),
                               axis=0)

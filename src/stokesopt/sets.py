@@ -15,7 +15,7 @@ This module builds the named families:
                  delay estimate; its Stokes images sum to zero
 
 plus the closed-form penalties and log-volumes of the two symmetric families,
-and JSON persistence for sets.
+and the package's JSON reader and writer, which persist sets.
 """
 from __future__ import annotations
 
@@ -50,6 +50,8 @@ __all__ = [
     "canonicalize_phases",
     "save_set",
     "load_set",
+    "read_json",
+    "write_json",
     "bundled_optimal_set",
 ]
 
@@ -478,28 +480,39 @@ def _states_from_json(vectors, n: int, path: str) -> np.ndarray:
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
-def save_set(s: LaunchSet | SimplexSet, path) -> None:
-    """Write the shared JSON schema; states phase-canonicalized first."""
-    doc = {
-        "n": int(s.n),
-        "family": s.family,
-        "meta": s.meta,
-        "vectors": _states_to_json(canonicalize_phases(s.states)),
-    }
-    with open(path, "w") as fh:
+def write_json(path, doc) -> None:
+    """The package's one JSON layout: sorted keys, indent 1, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def load_set(path) -> LaunchSet:
-    """Read a launch set, validating schema, count and norms."""
-    with open(path) as fh:
-        try:
+def read_json(path) -> dict:
+    """The JSON object in `path`; ConfigError for a file that is not UTF-8
+    JSON or holds no object at top level, OSError for one that won't open."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # a UnicodeDecodeError or JSONDecodeError
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
+    return doc
+
+
+def save_set(s: LaunchSet | SimplexSet, path) -> None:
+    """Write the shared JSON schema; states phase-canonicalized first."""
+    write_json(path, {
+        "n": int(s.n),
+        "family": s.family,
+        "meta": s.meta,
+        "vectors": _states_to_json(canonicalize_phases(s.states)),
+    })
+
+
+def load_set(path) -> LaunchSet:
+    """Read a launch set, validating schema, count and norms."""
+    doc = read_json(path)
     for key in ("n", "family", "vectors"):
         if key not in doc:
             raise ConfigError(f"{path}: missing field '{key}'")

@@ -30,7 +30,13 @@ from stokesopt.errors import (
     SearchFailedError,
     SingularSetError,
 )
-from stokesopt.sets import load_set, mub_penalty, sic_penalty
+from stokesopt.sets import (
+    load_set,
+    mub_penalty,
+    mub_set,
+    save_set,
+    sic_penalty,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -63,6 +69,18 @@ def write_scenario(path, **fields):
     with open(path, "w") as fh:
         json.dump(fields, fh)
     return str(path)
+
+
+def _abort_every_descent(monkeypatch):
+    real = optimize.descend
+
+    def aborting(initial, config=None):
+        run = real(initial, dataclasses.replace(config, max_iters=1))
+        return dataclasses.replace(run, converged=False, aborted=True,
+                                   stop_reason="singular_iterate")
+
+    monkeypatch.setattr(optimize, "descend", aborting)
+    monkeypatch.setattr(cli, "descend", aborting)
 
 
 TWO_MODE_FIBER = {"n": 2, "tau0": 5e-12,
@@ -264,15 +282,7 @@ def test_optimize_failure_reports_every_start(capsys, monkeypatch, init,
                                               starts):
     """With every descent aborting, both inits exit 3 and leave the same
     pair: a starts CSV with each start, and a manifest listing only it."""
-    real = optimize.descend
-
-    def aborting(initial, config=None):
-        run = real(initial, dataclasses.replace(config, max_iters=1))
-        return dataclasses.replace(run, converged=False, aborted=True,
-                                   stop_reason="singular_iterate")
-
-    monkeypatch.setattr(optimize, "descend", aborting)
-    monkeypatch.setattr(cli, "descend", aborting)
+    _abort_every_descent(monkeypatch)
     monkeypatch.setenv("STOKES_OPT_THREADS", "1")
     assert run_cli("optimize", "--n", "3", "--init", init,
                    "--starts", str(starts), "--out", "f") == 3
@@ -732,6 +742,152 @@ def test_simulate_md_rerun_is_byte_identical(measurement):
     after = read_json("r.manifest.json")
     differing = {k for k in before if before[k] != after[k]}
     assert differing <= {"timestamp", "wall_time_s"}
+
+
+# ---------------------------------------------------------------------------
+# one output writer, one input reader
+# ---------------------------------------------------------------------------
+
+def _md_inputs():
+    save_set(mub_set(2), "in_mub2.json")
+    write_scenario("in_md.json", **dict(SCENARIOS["md"],
+                                        launch_set="in_mub2.json"))
+
+
+# command, whether it needs the md scenario, exit code, manifest
+WRITING_COMMANDS = {
+    "gen-set": (["gen-set", "--family", "sic", "--n", "3",
+                 "--out", "g.json"], False, 0, "g.manifest.json"),
+    "optimize": (["optimize", "--n", "2", "--starts", "2", "--max-iter",
+                  "200", "--out", "o"], False, 0, "o.manifest.json"),
+    "optimize-abort": (["optimize", "--n", "3", "--init", "mub",
+                        "--out", "f"], False, 3, "f.manifest.json"),
+    "sweep": (["sweep", "--families", "yang,sic-analytic", "--n-list", "2-4",
+               "--out", "s.csv"], False, 0, "s.manifest.json"),
+    "simulate": (["simulate", "--scenario", "in_md.json", "--out", "r.json"],
+                 True, 0, "r.manifest.json"),
+    "simulate-trials": (["simulate", "--scenario", "in_md.json",
+                         "--trials-out", "t.csv"], True, 0,
+                        "in_md_results.manifest.json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITING_COMMANDS))
+def test_each_run_writes_exactly_what_its_manifest_lists(capsys, monkeypatch,
+                                                         name):
+    argv, needs_scenario, code, manifest = WRITING_COMMANDS[name]
+    monkeypatch.setenv("STOKES_OPT_THREADS", "1")
+    if name == "optimize-abort":
+        _abort_every_descent(monkeypatch)
+    if needs_scenario:
+        _md_inputs()
+    inputs = set(os.listdir())
+    assert main(argv) == code
+    outputs = read_json(manifest)["outputs"]
+    assert len(set(outputs)) == len(outputs) >= 1
+    assert set(os.listdir()) == inputs | set(outputs) | {manifest}
+    for path in outputs:
+        if path.endswith(".csv"):
+            assert read_csv(path)[0] == manifest
+        else:
+            doc = read_json(path)
+            assert doc.get("manifest", doc.get("meta", {}).get("manifest")) \
+                == manifest
+
+
+@pytest.mark.parametrize("flags", [
+    ["--out", "r.json", "--trials-out", "r.json"],
+    ["--out", "r.json", "--trials-out", "./r.json"],
+    ["--out", "r.json", "--trials-out", "r.manifest.json"],
+    ["--trials-out", "in_md_results.manifest.json"],
+])
+def test_simulate_refuses_outputs_that_collide(capsys, monkeypatch, flags):
+    _md_inputs()
+    inputs = set(os.listdir())
+    monkeypatch.setattr(cli.fibersim, "monte_carlo_md", None)  # never drawn
+    assert main(["simulate", "--scenario", "in_md.json", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: outputs and manifest must be distinct files")
+    assert set(os.listdir()) == inputs
+
+
+NOT_UTF8 = b'{"n": 2, "family": "caf\xe9", "vectors": []}'
+
+
+@pytest.mark.parametrize("command", ["evaluate", "optimize", "simulate",
+                                     "simulate-set"])
+def test_a_file_that_is_not_utf8_exits_4(capsys, command):
+    _md_inputs()
+    Path("latin1.json").write_bytes(NOT_UTF8)
+    if command == "simulate-set":
+        write_scenario("via.json", **dict(SCENARIOS["md"],
+                                          launch_set="latin1.json"))
+    inputs = set(os.listdir())
+    argv = {"evaluate": ["evaluate", "--set", "latin1.json"],
+            "optimize": ["optimize", "--n", "2", "--init", "file:latin1.json"],
+            "simulate": ["simulate", "--scenario", "latin1.json"],
+            "simulate-set": ["simulate", "--scenario", "via.json"]}[command]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: latin1.json: not valid JSON")
+    assert "utf-8" in lines[0]
+    assert set(os.listdir()) == inputs
+
+
+def test_optimize_file_init_must_match_the_mode_count(capsys):
+    _md_inputs()
+    inputs = set(os.listdir())
+    assert main(["optimize", "--n", "3", "--init", "file:in_mub2.json",
+                 "--out", "x"]) == 2
+    err = capsys.readouterr().err
+    assert "2-mode set" in err and "--n is 3" in err
+    assert set(os.listdir()) == inputs
+
+
+def test_simulate_launch_set_must_match_the_fiber(capsys, monkeypatch):
+    _md_inputs()
+    assert main(["gen-set", "--family", "mub", "--n", "3",
+                 "--out", "mub3.json"]) == 0
+    write_scenario("wide.json", **dict(SCENARIOS["md"],
+                                       launch_set="mub3.json"))
+    capsys.readouterr()
+    inputs = set(os.listdir())
+    monkeypatch.setattr(cli.fibersim, "monte_carlo_md", None)  # never drawn
+    assert main(["simulate", "--scenario", "wide.json"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: wide.json: ")
+    assert "3 modes" in err and "fiber has 2" in err
+    assert set(os.listdir()) == inputs
+
+
+def test_simulate_rejects_the_removed_quadrature_field(capsys):
+    _md_inputs()
+    receiver = dict(NOISY_RECEIVER, quadrature="simpson38")
+    write_scenario("q.json", **dict(SCENARIOS["md"], launch_set="in_mub2.json",
+                                    receiver=receiver))
+    assert main(["simulate", "--scenario", "q.json"]) == 4
+    assert "receiver: unknown field 'quadrature'" in capsys.readouterr().err
+
+
+def test_commands_take_their_families_from_the_one_table(capsys):
+    parser = cli.build_parser()
+    for name, (kind, _) in cli.FAMILIES.items():
+        argv = ["gen-set", "--family", name, "--n", "2"]
+        if kind == "gram":
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        else:
+            assert parser.parse_args(argv).family == name
+    capsys.readouterr()
+    assert main(["sweep", "--families", "simplex", "--n-list", "2"]) == 2
+    assert str(cli._family_names("set", "gram")) in capsys.readouterr().err
+    assert main(["optimize", "--n", "2", "--init", "simplex"]) == 2
+    assert "use yang, mub, sic, random or file:PATH" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

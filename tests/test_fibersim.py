@@ -103,14 +103,14 @@ def test_two_mode_eigen_delays_split_symmetrically():
     dtau = 3 * PS
     f = fsim.FiberModel(2, tau0=PS, md_vector=np.array([0.0, 0.0, dtau]),
                         base_unitary=np.eye(2))
-    evals = np.linalg.eigvalsh(fsim.delay_operator(f))
+    evals = np.linalg.eigvalsh(f.delay_operator)
     assert np.allclose(np.sort(evals), [PS - dtau / 2, PS + dtau / 2],
                        rtol=1e-12)
 
 
 def test_delay_operator_expansion_round_trip():
     f = random_fiber(4, seed=3)
-    scalar, vector = expand_matrix(fsim.delay_operator(f))
+    scalar, vector = expand_matrix(f.delay_operator)
     assert abs(scalar - f.tau0) < 1e-24
     assert np.allclose(vector.real, f.md_vector, atol=1e-24)
     assert np.max(np.abs(vector.imag)) < 1e-24
@@ -169,7 +169,7 @@ def test_fiber_model_is_frozen_with_operators_built_once():
     for value in (f.md_vector, f.base_unitary, f.pa_coeffs, f.pa_modes,
                   f.pa_slope, f.delay_operator, f.squared_loss):
         assert not value.flags.writeable
-    assert fsim.delay_operator(f) is f.delay_operator
+    assert f.delay_operator is f.delay_operator
     assert f.squared_loss is f.squared_loss
     assert np.array_equal(f.delay_operator,
                           assemble(3, f.tau0, f.md_vector))
@@ -192,8 +192,9 @@ def test_receiver_rejects_bad_configs():
         fsim.ReceiverModel(**{**good, "responsivity": 0.0})
     with pytest.raises(ConfigError, match="noise_psd"):
         fsim.ReceiverModel(**{**good, "noise_psd": -1e-22})
-    with pytest.raises(ConfigError, match="quadrature"):
-        fsim.ReceiverModel(**{**good, "quadrature": "trapezoid"})
+    # Simpson 3/8 is the one readout rule; there is no field to pick another
+    with pytest.raises(TypeError, match="quadrature"):
+        fsim.ReceiverModel(**{**good, "quadrature": "simpson38"})
 
 
 def test_receiver_grid_and_weights_are_exact():
@@ -994,7 +995,7 @@ def test_lossless_composition_reduces_to_delay_operator():
     assert np.max(np.abs(op.chi_vector.imag)) < 1e-20
     assert np.allclose(op.chi_vector.real, f.md_vector, atol=1e-24)
     assert math.isclose(op.chi0.real, f.tau0, rel_tol=1e-12)
-    direct = np.sort(np.linalg.eigvalsh(fsim.delay_operator(f)))
+    direct = np.sort(np.linalg.eigvalsh(f.delay_operator))
     assert np.allclose(op.dmgds, direct, rtol=1e-12)
 
 
@@ -1006,7 +1007,7 @@ def test_flat_mdl_similarity_keeps_real_delays():
     half = np.linalg.norm(md) / 2
     assert np.allclose(op.dmgds, [3 * PS - half, 3 * PS + half], rtol=1e-10)
     assert np.max(np.abs(np.imag(np.sort_complex(
-        np.linalg.eigvals(fsim.delay_operator(f)))))) < 1e-24
+        np.linalg.eigvals(f.delay_operator))))) < 1e-24
 
 
 def test_loss_slope_adds_imaginary_part():
