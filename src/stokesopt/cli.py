@@ -119,13 +119,13 @@ def _fmt(x) -> str:
 
 @contextmanager
 def _reading(path, part: str = ""):
-    """Exit 4 for an input file that cannot be read, or whose content (its
-    `part`, when named) is malformed."""
+    """Exit 4 for an input file that cannot be read (OSError) or whose
+    content, its `part` when named, is malformed (any ValueError)."""
     try:
         yield
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except (ConfigError, DimensionError) as exc:
+    except ValueError as exc:
         where = f"{path}: {part}: " if part else ""
         raise _InputError(f"{where}{exc}") from exc
 
@@ -289,14 +289,13 @@ def cmd_optimize(args) -> int:
         raise
 
     best = runs[best_index]
-    best_set = best.final_set
-    out.set(best_set, set_path)
+    out.set(best.final_set, set_path)
     out.csv(starts_path, _STARTS_HEADER, _starts_rows(runs))
     out.csv(traj_path, "iteration,xi,grad_norm",
             [[str(int(it)), _fmt(xi), _fmt(gn)]
              for it, xi, gn in best.trajectory])
     out.manifest(workers)
-    mt = metrics(best_set)
+    mt = metrics(best.final_set)
     _print_summary({
         "algorithm": args.algo, "n": args.n, "init": args.init,
         "best_start": best_index, "xi": mt.xi,
@@ -455,12 +454,13 @@ def _fiber_from(doc: dict, where: str) -> fibersim.FiberModel:
 def _receiver_from(doc: dict, where: str) -> ReceiverModel:
     rd = _scenario_field(doc, "receiver", dict, where)
     sub = f"{where}: receiver"
-    unknown = set(rd) - {f.name for f in dataclasses.fields(ReceiverModel)}
-    if unknown:
+    names = [f.name for f in dataclasses.fields(ReceiverModel)]
+    unknown = set(rd) - set(names)
+    if unknown:  # a missing field fails in _scenario_field below
         raise _InputError(f"{sub}: unknown field '{min(unknown)}'")
     with _reading(where, "receiver"):
         return ReceiverModel(**{k: _scenario_field(rd, k, float, sub)
-                                for k in rd})
+                                for k in names})
 
 
 def _launch_set_from(doc: dict, scenario: Path, n: int) -> LaunchSet:

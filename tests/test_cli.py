@@ -642,10 +642,24 @@ def test_simulate_input_errors(capsys):
         json.dump([SCENARIOS["md"]], fh)
     assert run_cli("simulate", "--scenario", "listed.json") == 4
     assert "top level must be a JSON object" in capsys.readouterr().err
+    # a mode count numpy cannot shape (10**12 fails its size check before
+    # any allocation) is a malformed scenario, not a crash
+    for mode, n in [(m, n) for m in ("md", "mdl") for n in (-1, 0, 10**12)]:
+        capsys.readouterr()
+        scenario = json.loads(json.dumps(SCENARIOS[mode]))
+        scenario["fiber"]["n"] = n
+        write_scenario("n.json", **scenario)
+        assert run_cli("simulate", "--scenario", "n.json",
+                       "--out", "n_out.json") == 4, (mode, n)
+        assert "n.json: fiber:" in capsys.readouterr().err
+        assert not os.path.exists("n_out.json")
+    no_energy = {k: v for k, v in NOISY_RECEIVER.items() if k != "energy"}
     for receiver, message in (
             (dict(NOISY_RECEIVER, responsivity=-0.8),
              "responsivity must be positive"),
-            (dict(NOISY_RECEIVER, gain=2.0), "'gain'")):
+            (dict(NOISY_RECEIVER, gain=2.0), "'gain'"),
+            (no_energy, "missing field 'energy'"),
+            ({}, "missing field")):
         write_scenario("rx.json", **dict(SCENARIOS["md"], receiver=receiver))
         assert run_cli("simulate", "--scenario", "rx.json") == 4
         err = capsys.readouterr().err
