@@ -7,9 +7,9 @@ Library layout:
     sets       launch-set families (Yang-Nolan, MUB, SIC, random, simplex)
     metrics    Gram matrix, noise-amplification cost, set diagnostics
     spheres    L-BFGS + Armijo descent loop on products of spheres or a chart
-    optimize   cost, gradients and multi-start descent (serial by default)
+    optimize   cost, gradients, multi-start descent and the one worker pool
     fibersim   simulated modal-dispersion / mode-dependent-loss measurement
-    seeding    deterministic RNG streams
+    seeding    deterministic RNG streams and the complex Gaussian draw
     cli        command-line front end (`stokesopt ...`)
 """
 from __future__ import annotations

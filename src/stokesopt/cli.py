@@ -6,7 +6,8 @@ rerun rewrites every file byte for byte but the manifest, which records the
 run's timestamp and wall time.  One writer, `_Outputs`, is built before any
 work from every path a command may write.  It names the manifest after the
 first (STEM.manifest.json, a .json or .csv suffix dropped) and refuses,
-with exit 2, two paths naming one file or a path naming the manifest.  Each
+with exit 2, two paths naming one file, a path naming the manifest, or
+one naming an input: a scenario, its launch set or a `file:` init.  Each
 output points back at the manifest (meta.manifest in a set, manifest in
 result JSON, a leading comment line in a CSV), which lists exactly the
 files written, in order; a failed `optimize` search writes only
@@ -68,6 +69,7 @@ from .optimize import (
     gradient_check,
     jitter_set,
     multi_start,
+    pool_map,
 )
 from .sets import (
     LaunchSet,
@@ -130,13 +132,8 @@ def _reading(path, part: str = ""):
         raise _InputError(f"{where}{exc}") from exc
 
 
-def _load_set(path) -> LaunchSet:
-    with _reading(path):
-        return load_set(path)
-
-
 class _Outputs:
-    """The one writer of a run's files and of its manifest (module doc).
+    """A run's one output and manifest writer and input reader (module doc).
 
     `paths` are every file the command may write, main output first, None
     or "" for an unset optional one.
@@ -151,9 +148,17 @@ class _Outputs:
         self.path = stem + ".manifest.json"
         self.name = Path(self.path).name
         every = (*self.paths, self.path)
-        if len({Path(p).resolve() for p in every}) < len(every):
+        self.resolved = {Path(p).resolve() for p in every}
+        if len(self.resolved) < len(every):
             raise ConfigError("outputs and manifest must be distinct files, "
                               "got " + ", ".join(every))
+
+    def read(self, path, reader):
+        """reader(path); exit 2 if an output or the manifest is `path`."""
+        if Path(path).resolve() in self.resolved:
+            raise ConfigError(f"input {path} is an output or the manifest")
+        with _reading(path):
+            return reader(path)
 
     def set(self, s, path: str) -> None:
         s.meta["manifest"] = self.name
@@ -218,9 +223,9 @@ def cmd_gen_set(args) -> int:
 # optimize
 # ---------------------------------------------------------------------------
 
-def _initial_for(init: str, n: int, seed: int, tol: float) -> LaunchSet:
+def _initial_for(init: str, n: int, seed: int, tol: float, out) -> LaunchSet:
     if init.startswith("file:"):
-        s = _load_set(init[len("file:"):])
+        s = out.read(init[len("file:"):], load_set)
         if s.n != n:
             raise ConfigError(
                 f"--init {init} holds a {s.n}-mode set, but --n is {n}")
@@ -267,7 +272,7 @@ def cmd_optimize(args) -> int:
         workers = max(1, min(_cli_workers(), args.starts))
     else:
         workers = 1
-        initial = _initial_for(args.init, args.n, args.seed, args.tol)
+        initial = _initial_for(args.init, args.n, args.seed, args.tol, out)
         # family constructions can start exactly on a stationary point
         initial = jitter_set(initial, scale=1e-6, seed=args.seed)
 
@@ -310,7 +315,8 @@ def cmd_optimize(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
-    s = _load_set(args.set)
+    with _reading(args.set):
+        s = load_set(args.set)
     mt = metrics(s)
     print(json.dumps({
         "n": mt.n, "m": mt.m, "family": s.family, "xi": mt.xi,
@@ -357,11 +363,10 @@ def _sweep_row(job) -> list:
 def cmd_sweep(args) -> int:
     """Tabulate family metrics over mode counts, one row per (family, n).
 
-    Rows are scored over up to STOKES_OPT_THREADS processes (every core
-    when unset), in this one when that or the row count is at most 1.  The
-    CSV is written once every row is back, in table order, so its bytes do
-    not depend on the width, and a failing row raises the first error in
-    table order, as the serial loop does.
+    Rows are scored by `pool_map` over up to STOKES_OPT_THREADS processes
+    (every core when unset) and written in table order once all are back,
+    so the CSV's bytes do not depend on the width; a failing row raises the
+    first error in table order, as the serial loop does.
     """
     path = args.out or "sweep.csv"
     out = _Outputs(args, path)
@@ -385,12 +390,7 @@ def cmd_sweep(args) -> int:
                 continue
             jobs.append((fam, n, args.seed, args.tol))
     workers = max(1, min(_cli_workers(), len(jobs)))
-    if workers == 1:
-        rows = [_sweep_row(job) for job in jobs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, jobs))
+    rows = pool_map(_sweep_row, jobs, workers)
     out.csv(path, "n,family,xi,penalty_db,condition_number,log_volume", rows)
     out.manifest(workers)
     _print_summary({"rows": len(rows), "skipped": skipped, "out": path})
@@ -432,7 +432,9 @@ def _seed_field(doc: dict, key: str, where: str, default: int) -> int:
     return seed
 
 
-def _fiber_from(doc: dict, where: str) -> fibersim.FiberModel:
+def _fiber_from(doc: dict, where: str, out: _Outputs) -> tuple:
+    """The scenario's fiber and launch set; the fiber is synthesized only
+    once its fields pass and the set shares its mode count."""
     fd = _scenario_field(doc, "fiber", dict, where)
     sub = f"{where}: fiber"
     n = _scenario_field(fd, "n", int, sub)
@@ -440,15 +442,19 @@ def _fiber_from(doc: dict, where: str) -> fibersim.FiberModel:
     md = _numbers_field(fd, "md_vector", sub)
     seed = _seed_field(fd, "unitary_seed", sub, 0)
     z = _scenario_field(fd, "z", float, sub, 1.0)
+    pa = _numbers_field(fd, "pa_coeffs", sub) if "pa_coeffs" in fd else None
+    slope = (_numbers_field(fd, "pa_slope", sub)
+             if pa is not None and "pa_slope" in fd else None)
+    rel = _scenario_field(doc, "launch_set", str, where)
+    ls = out.read(Path(where).parent / rel, load_set)  # an absolute rel stays
+    if ls.n != n:
+        raise _InputError(f"{where}: launch_set {rel} has {ls.n} modes, "
+                          f"fiber has {n}")
     with _reading(where, "fiber"):
-        if "pa_coeffs" in fd:
-            return fibersim.synth_mdl_fiber(
-                n, _numbers_field(fd, "pa_coeffs", sub),
-                z=z, seed=seed, tau0=tau0,
-                md_vector=md,
-                pa_slope=(_numbers_field(fd, "pa_slope", sub)
-                          if "pa_slope" in fd else None))
-        return fibersim.synth_md_fiber(n, tau0, md, seed=seed)
+        if pa is None:
+            return fibersim.synth_md_fiber(n, tau0, md, seed=seed), ls
+        return fibersim.synth_mdl_fiber(n, pa, z=z, seed=seed, tau0=tau0,
+                                        md_vector=md, pa_slope=slope), ls
 
 
 def _receiver_from(doc: dict, where: str) -> ReceiverModel:
@@ -463,22 +469,13 @@ def _receiver_from(doc: dict, where: str) -> ReceiverModel:
                                 for k in names})
 
 
-def _launch_set_from(doc: dict, scenario: Path, n: int) -> LaunchSet:
-    rel = _scenario_field(doc, "launch_set", str, str(scenario))
-    ls = _load_set(scenario.parent / rel)  # an absolute rel stays as is
-    if ls.n != n:
-        raise _InputError(f"{scenario}: launch_set {rel} has {ls.n} modes, "
-                          f"fiber has {n}")
-    return ls
-
-
 def _simulate_md(doc, fiber, ls, seed, where):
     rx = _receiver_from(doc, where)
     trials = _scenario_field(doc, "trials", int, where)
     measurement = _scenario_field(doc, "measurement", str, where, "analytic")
-    if measurement not in ("analytic", "waveform"):
+    if measurement not in fibersim.DELAY_MODES:
         raise _InputError(f"{where}: field 'measurement' must be "
-                          "'analytic' or 'waveform'")
+                          + " or ".join(map(repr, fibersim.DELAY_MODES)))
     res = fibersim.monte_carlo_md(fiber, ls, rx, trials, seed=seed,
                                   mode=measurement)
     mt = metrics(ls)
@@ -572,20 +569,20 @@ def cmd_simulate(args) -> int:
     where = str(scenario_path)
     path = args.out or scenario_path.stem + "_results.json"
     out = _Outputs(args, path, args.trials_out)
-    with _reading(where):
-        doc = read_json(scenario_path)
+    doc = out.read(scenario_path, read_json)
     mode = _scenario_field(doc, "mode", str, where)
     runners = {"md": _simulate_md, "mdl": _simulate_mdl,
                "joint": _simulate_joint}
     if mode not in runners:
         raise _InputError(f"{where}: mode must be one of {sorted(runners)}")
-    fiber = _fiber_from(doc, where)
-    ls = _launch_set_from(doc, scenario_path, fiber.n)
+    if mode == "joint" and args.trials_out:
+        raise ConfigError("--trials-out needs an md or mdl scenario")
+    fiber, ls = _fiber_from(doc, where, out)
     seed = _seed_field(doc, "seed", where, 0)
 
     summary, trial_table = runners[mode](doc, fiber, ls, seed, where)
     out.json(path, summary)
-    if args.trials_out and trial_table is not None:
+    if args.trials_out:
         out.csv(args.trials_out, *trial_table)
     out.manifest()
     _print_summary(summary)

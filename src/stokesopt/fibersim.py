@@ -50,10 +50,10 @@ from .errors import (
     EstimationFailedError,
     SingularSetError,
 )
-from .gellmann import assemble, expand_matrix, norm_coeff
+from .gellmann import assemble, check_modes, expand_matrix, norm_coeff
 from .metrics import cost
 from .seeding import rng_for
-from .sets import LaunchSet, SimplexSet, haar_unitary
+from .sets import LaunchSet, SimplexSet, check_orthonormal, haar_unitary
 
 __all__ = [
     "FiberModel",
@@ -121,8 +121,7 @@ class FiberModel:
 
     def __post_init__(self):
         n = self.n
-        if n < 2:
-            raise DimensionError("need at least 2 modes")
+        check_modes(n)
         md = np.array(self.md_vector, dtype=float)
         if md.shape != (n * n - 1,):
             raise DimensionError(
@@ -146,8 +145,7 @@ class FiberModel:
             _finite(a, "pa_coeffs")
             if v.shape != (n, n):
                 raise DimensionError(f"pa_modes must be ({n}, {n})")
-            if np.max(np.abs(v.conj() @ v.T - np.eye(n))) > 1e-10:
-                raise DimensionError("pa_modes rows must be orthonormal")
+            check_orthonormal(v, "pa_modes rows")
             if not (np.isfinite(self.z) and self.z >= 0.0):
                 raise ConfigError("fiber length must be finite and non-negative")
             fields.update(pa_coeffs=a, pa_modes=v)
@@ -397,7 +395,10 @@ def group_delay(f: FiberModel, states):
     return _expectation(f.delay_operator, states)
 
 
-def _rng_from(seed) -> np.random.Generator:
+def _rng_from(seed, what: str) -> np.random.Generator:
+    """The stream of `seed` (int or tuple of ints), which `what` needs."""
+    if seed is None:
+        raise ConfigError(f"a seed is required for {what}")
     if isinstance(seed, (tuple, list)):
         return rng_for(*seed)
     return rng_for(seed)
@@ -414,6 +415,14 @@ def _launch_state(f: FiberModel, state) -> np.ndarray:
     return state
 
 
+def _fiber_modes(f: FiberModel, states: np.ndarray) -> np.ndarray:
+    """A (k, n) launch stack, rejected unless n is the fiber's mode count."""
+    if states.shape[1] != f.n:
+        raise DimensionError(
+            f"launch states have {states.shape[1]} modes, fiber has {f.n}")
+    return states
+
+
 def _readout(f: FiberModel, states: np.ndarray, rx: ReceiverModel,
              mode: str) -> tuple[np.ndarray, np.ndarray, float]:
     """(delays, gain, sigma) of unit launches `states` (k, n): launch i
@@ -427,9 +436,7 @@ def _readout(f: FiberModel, states: np.ndarray, rx: ReceiverModel,
     """
     if mode not in DELAY_MODES:
         raise ConfigError(f"mode must be one of {DELAY_MODES}, got {mode!r}")
-    if states.shape[1] != f.n:
-        raise DimensionError(
-            f"launch states have {states.shape[1]} modes, fiber has {f.n}")
+    _fiber_modes(f, states)
     if mode == "analytic":
         return (group_delay(f, states), np.ones((len(states), 1)),
                 math.sqrt(rx.delay_variance))
@@ -473,14 +480,11 @@ def measure_delay(f: FiberModel, state, rx: ReceiverModel,
     tuple of ints) is required whenever rx.noise_psd > 0.
     """
     state = _launch_state(f, state)
-    noisy = rx.noise_psd > 0.0
-    if noisy and seed is None:
-        raise ConfigError("a seed is required for a noisy receiver")
     delays, gain, sigma = _readout(f, state[None, :], rx, mode)
     value = float(delays[0])
-    if noisy:
-        value += float(np.vdot(gain, _rng_from(seed).normal(0.0, sigma,
-                                                            gain.shape)))
+    if rx.noise_psd > 0.0:
+        rng = _rng_from(seed, "a noisy receiver")
+        value += float(np.vdot(gain, rng.normal(0.0, sigma, gain.shape)))
     return value
 
 
@@ -496,12 +500,10 @@ def estimate_tau0(f: FiberModel, rx: ReceiverModel, simplex: SimplexSet,
     """
     if repeats < 1:
         raise ConfigError("repeats must be at least 1")
-    noisy = rx.noise_psd > 0.0
-    if noisy and seed is None:
-        raise ConfigError("a seed is required for a noisy receiver")
     delays, gain, sigma = _readout(f, simplex.states, rx, mode)
-    if noisy:
-        delays = _noisy_reads(delays, gain, sigma, _rng_from(seed), repeats)
+    if rx.noise_psd > 0.0:
+        rng = _rng_from(seed, "a noisy receiver")
+        delays = _noisy_reads(delays, gain, sigma, rng, repeats)
     return float(np.mean(delays))
 
 
@@ -641,9 +643,8 @@ def measure_attenuation(f: FiberModel, state, rel_noise: float = 0.0,
         raise ConfigError("rel_noise must be finite and non-negative")
     value = _expectation(f.squared_loss, state)
     if rel_noise > 0:
-        if seed is None:
-            raise ConfigError("a seed is required for noisy power readings")
-        value *= 1.0 + _rng_from(seed).normal(0.0, rel_noise)
+        value *= 1.0 + _rng_from(seed, "noisy power readings").normal(
+            0.0, rel_noise)
     return value
 
 
@@ -728,8 +729,8 @@ def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
         raise ConfigError("rel_noise must be finite and non-negative")
     cost(launch_set)  # SingularSetError for a set metrics rejects
     m = launch_set.m
-    clean = np.array([measure_attenuation(f, s) for s in
-                      (*launch_set.states, *simplex.states)])
+    clean = _expectation(f.squared_loss, np.concatenate([
+        _fiber_modes(f, launch_set.states), _fiber_modes(f, simplex.states)]))
     alpha0_true, gamma_true = mdl_parameters(f)
     rng = rng_for(seed, _ATTENUATION_STREAM)
 
@@ -851,24 +852,22 @@ def crosstalk_bound(epsilon: float) -> tuple[float, float]:
     """Error bound for leaky two-mode launches of the orthonormal triple.
 
     A mode converter that leaks power fraction epsilon into the orthogonal
-    state turns the identity coefficient matrix into a perturbed S'; the
-    return is (||S' - S||_2, kappa(S) ||S' - S|| / ||S||), the second being
-    the relative delay-vector error bound.  Both behave as 2 sqrt(2 eps)
-    for small epsilon: the error grows with the square root of the leakage.
+    state turns the identity coefficient matrix S = I into a perturbed S';
+    the return is (||S' - S||_2, kappa(S) ||S' - S|| / ||S||), the relative
+    delay-vector error bound, which equals the first: kappa(I) = ||I||_2 = 1.
+    Both behave as 2 sqrt(2 eps) for small epsilon: the error grows with the
+    square root of the leakage.
     """
     if not (0.0 <= epsilon < 0.5):
         raise ConfigError(
             f"crosstalk level must lie in [0, 0.5), got {epsilon}")
     leak = 2.0 * math.sqrt((1.0 - epsilon) * epsilon)
     diag = 1.0 - 2.0 * epsilon
-    s_ideal = np.eye(3)
     s_actual = np.array([
         [diag, leak, 0.0],
         [leak, diag, 0.0],
         [leak, 0.0, diag],
     ])
-    ds = s_actual - s_ideal
+    ds = s_actual - np.eye(3)
     norm_ds = float(np.linalg.norm(ds, 2))
-    rel_bound = float(np.linalg.cond(s_ideal) * norm_ds
-                      / np.linalg.norm(s_ideal, 2))
-    return norm_ds, rel_bound
+    return norm_ds, norm_ds

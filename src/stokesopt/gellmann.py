@@ -57,10 +57,15 @@ __all__ = [
 ]
 
 
-def norm_coeff(n: int) -> float:
-    """Stokes normalization coefficient c_n = sqrt(n / (2 (n - 1)))."""
+def check_modes(n: int) -> None:
+    """The package's one mode-count rule: DimensionError unless n >= 2."""
     if n < 2:
         raise DimensionError(f"need at least 2 modes, got n={n}")
+
+
+def norm_coeff(n: int) -> float:
+    """Stokes normalization coefficient c_n = sqrt(n / (2 (n - 1)))."""
+    check_modes(n)
     return np.sqrt(n / (2.0 * (n - 1)))
 
 
@@ -97,8 +102,7 @@ def gell_mann_basis(n: int) -> np.ndarray:
     DimensionError
         If n < 2.
     """
-    if n < 2:
-        raise DimensionError(f"need at least 2 modes, got n={n}")
+    check_modes(n)
     return _basis_cached(int(n))
 
 
@@ -182,8 +186,7 @@ def expand_matrix(m) -> tuple[complex, np.ndarray]:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    if n < 2:
-        raise DimensionError("need at least 2 modes")
+    check_modes(n)
     scalar = np.trace(m) / n
     # Tr(M L_i) = vector_i / c_n under the normalization above
     traces = np.einsum("iab,ba->i", gell_mann_basis(n), m)

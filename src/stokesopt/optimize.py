@@ -40,7 +40,7 @@ from .gellmann import (
 )
 from .metrics import _inverse_factor, _xi
 from .sets import LaunchSet, canonicalize_phases, gram_from_states, random_set
-from .seeding import rng_for
+from .seeding import complex_normal, rng_for
 
 __all__ = [
     "ALGORITHMS",
@@ -242,9 +242,7 @@ def jitter_set(s: LaunchSet, scale: float = 1e-6, seed: int = 0) -> LaunchSet:
     if scale <= 0:
         raise ConfigError("jitter scale must be positive")
     states = np.array(s.states, dtype=complex)
-    rng = rng_for(seed, 202)
-    noise = (rng.standard_normal(states.shape)
-             + 1j * rng.standard_normal(states.shape))
+    noise = complex_normal(rng_for(seed, 202), states.shape)
     bump = spheres.tangent_project(states, noise)
     norms = np.linalg.norm(bump, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
@@ -252,6 +250,16 @@ def jitter_set(s: LaunchSet, scale: float = 1e-6, seed: int = 0) -> LaunchSet:
     meta = dict(s.meta)
     meta.update({"jitter_scale": scale, "jitter_seed": seed})
     return LaunchSet(n=s.n, states=jittered, family=s.family, meta=meta)
+
+
+def pool_map(fn, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs], in this process when workers <= 1, else over
+    the package's one pool of `workers` processes (fn and jobs must pickle)."""
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def _descend_start(args) -> OptimizerRun:
@@ -278,13 +286,8 @@ def multi_start(n: int, starts: int = 8,
         raise ConfigError("starts must be at least 1")
     if config is None:
         config = OptimizerConfig()
-    jobs = [(n, config, i) for i in range(starts)]
-    if workers <= 1 or starts == 1:
-        runs = [_descend_start(job) for job in jobs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, starts)) as pool:
-            runs = list(pool.map(_descend_start, jobs))
+    runs = pool_map(_descend_start, [(n, config, i) for i in range(starts)],
+                    min(workers, starts))
     best_index = None
     for i, run in enumerate(runs):
         if run.aborted:
@@ -307,9 +310,7 @@ def gradient_check(n: int, algorithm: str = "projected", trials: int = 3,
     against the full gradient, each state entry as a (re, im) pair; the
     hyperspherical check perturbs each angle of the chart.
     """
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(
-            f"unknown algorithm {algorithm!r}, pick from {ALGORITHMS}")
+    OptimizerConfig(algorithm=algorithm)  # ConfigError for an unknown one
     if trials < 1:
         raise ConfigError("trials must be at least 1")
     worst = 0.0

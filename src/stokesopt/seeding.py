@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rng_for"]
+__all__ = ["rng_for", "complex_normal"]
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
@@ -29,3 +29,8 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
             words.append(value & 0xFFFFFFFF)
     seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.Philox(seq))
+
+
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex Gaussians of `shape`, real parts drawn before imaginary."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -27,8 +27,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SearchFailedError
-from .gellmann import jones_to_stokes_batch
-from .seeding import rng_for
+from .gellmann import check_modes, jones_to_stokes_batch
+from .seeding import complex_normal, rng_for
 
 __all__ = [
     "LaunchSet",
@@ -66,6 +66,7 @@ class LaunchSet:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_modes(self.n)
         st = np.asarray(self.states, dtype=complex)
         m = self.n * self.n - 1
         if st.shape != (m, self.n):
@@ -97,15 +98,20 @@ class SimplexSet:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_modes(self.n)
         st = np.asarray(self.states, dtype=complex)
         if st.shape != (self.n, self.n):
             raise DimensionError(
                 f"simplex for n={self.n} needs shape ({self.n}, {self.n}), "
                 f"got {st.shape}")
-        gram = st.conj() @ st.T
-        if np.max(np.abs(gram - np.eye(self.n))) > 1e-10:
-            raise DimensionError("simplex states must be orthonormal")
-        self.states = st
+        self.states = check_orthonormal(st, "simplex states")
+
+
+def check_orthonormal(rows: np.ndarray, what: str) -> np.ndarray:
+    """`rows` (n, n); DimensionError unless they are orthonormal to 1e-10."""
+    if np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows)))) > 1e-10:
+        raise DimensionError(f"{what} must be orthonormal")
+    return rows
 
 
 def gram_from_states(states: np.ndarray, n: int) -> np.ndarray:
@@ -134,8 +140,7 @@ def yang_nolan(n: int) -> LaunchSet:
     over all i < j, each block in lexicographic pair order.  For n = 2 this is
     the classical orthonormal Stokes triple.
     """
-    if n < 2:
-        raise DimensionError(f"need at least 2 modes, got n={n}")
+    check_modes(n)
     eye = np.eye(n, dtype=complex)
     rows = [eye[i] for i in range(n - 1)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -152,8 +157,7 @@ def yang_gram(n: int) -> np.ndarray:
 
     Independent of the constructed states; used to cross-check gram().
     """
-    if n < 2:
-        raise DimensionError(f"need at least 2 modes, got n={n}")
+    check_modes(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     npr = len(pairs)
     nx = n - 1
@@ -239,8 +243,7 @@ def mub_set(n: int) -> LaunchSet:
 
 def mub_gram(n: int) -> np.ndarray:
     """Analytic MUB Gram: block diagonal, unit diagonal, -1/(n-1) in-block."""
-    if n < 2:
-        raise DimensionError(f"need at least 2 modes, got n={n}")
+    check_modes(n)
     blk = np.full((n - 1, n - 1), -1.0 / (n - 1)) + np.eye(n - 1) * n / (n - 1)
     g = np.zeros((n * n - 1, n * n - 1))
     for b in range(n + 1):
@@ -251,15 +254,13 @@ def mub_gram(n: int) -> np.ndarray:
 
 def mub_penalty(n: int) -> float:
     """Noise-amplification penalty 2 (n - 1) / n of the MUB family."""
-    if n < 2:
-        raise DimensionError(f"need at least 2 modes, got n={n}")
+    check_modes(n)
     return 2.0 * (n - 1.0) / n
 
 
 def mub_log_volume(n: int) -> float:
     """log |det S| for the MUB family (natural log; underflow-safe)."""
-    if n < 2:
-        raise DimensionError(f"need at least 2 modes, got n={n}")
+    check_modes(n)
     return 0.5 * ((n - 2.0) * (n + 1.0) * math.log(n)
                   - (n * n - 1.0) * math.log(n - 1.0))
 
@@ -270,8 +271,7 @@ def mub_log_volume(n: int) -> float:
 
 def sic_gram(n: int) -> np.ndarray:
     """Analytic SIC Gram: unit diagonal, -1/(n^2-1) everywhere else."""
-    if n < 2:
-        raise DimensionError(f"need at least 2 modes, got n={n}")
+    check_modes(n)
     m = n * n - 1
     off = -1.0 / m
     return np.full((m, m), off) + np.eye(m) * (1.0 - off)
@@ -279,15 +279,13 @@ def sic_gram(n: int) -> np.ndarray:
 
 def sic_penalty(n: int) -> float:
     """Noise-amplification penalty 2 (n^2 - 1) / n^2 of the SIC family."""
-    if n < 2:
-        raise DimensionError(f"need at least 2 modes, got n={n}")
+    check_modes(n)
     return 2.0 * (n * n - 1.0) / (n * n)
 
 
 def sic_log_volume(n: int) -> float:
     """log |det S| for the SIC family (natural log; underflow-safe)."""
-    if n < 2:
-        raise DimensionError(f"need at least 2 modes, got n={n}")
+    check_modes(n)
     return (n * n - 2.0) * math.log(n) - 0.5 * (n * n - 1.0) * math.log(n * n - 1.0)
 
 
@@ -379,8 +377,7 @@ def sic_search(n: int, seed: int = 0, tol: float = 1e-8,
     SearchFailedError
         When no start reaches tol; carries the best residual seen.
     """
-    if n < 2:
-        raise DimensionError(f"need at least 2 modes, got n={n}")
+    check_modes(n)
     if tol <= 0 or starts < 1:
         raise ConfigError("tol must be positive, starts at least 1")
     best = None
@@ -409,7 +406,7 @@ def sic_search(n: int, seed: int = 0, tol: float = 1e-8,
 
 def random_states(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     """Uniform (Haar-marginal) unit states: normalized complex Gaussians."""
-    raw = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    raw = complex_normal(rng, (count, n))
     return raw / np.linalg.norm(raw, axis=1)[:, None]
 
 
@@ -420,16 +417,14 @@ def random_set(n: int, seed: int = 0) -> LaunchSet:
     rejects it with SingularSetError (exit 3 in the CLI), and in
     `multi_start` it aborts only its own start.
     """
-    if n < 2:
-        raise DimensionError(f"need at least 2 modes, got n={n}")
+    check_modes(n)
     states = random_states(rng_for(seed), n * n - 1, n)
     return LaunchSet(n=n, states=states, family="random", meta={"seed": seed})
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a complex Gaussian."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(complex_normal(rng, (n, n)))
     d = np.diagonal(r)
     return q * (d / np.abs(d))[None, :]
 
@@ -437,8 +432,7 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 def simplex_set(n: int, seed: int = 0) -> SimplexSet:
     """Random orthonormal basis; its Stokes images sum to zero, which makes
     the mean measured delay over the basis the common-mode delay exactly."""
-    if n < 2:
-        raise DimensionError(f"need at least 2 modes, got n={n}")
+    check_modes(n)
     # a stream of its own: rng_for(seed) builds a synthetic fiber's unitary
     u = haar_unitary(n, rng_for(seed, 501))
     return SimplexSet(n=n, states=u.T.copy(), meta={"seed": seed})

@@ -628,22 +628,23 @@ def test_simulate_input_errors(capsys):
                    fiber={"n": 2, "tau0": 0.0, "md_vector": [0.0, 0.0, 0.0],
                           "pa_coeffs": [-1.0, 0.1]})
     assert run_cli("simulate", "--scenario", "badfiber.json") == 4
+    # the launch set is read before the fiber is synthesized
+    assert run_cli("gen-set", "--family", "mub", "--n", "2",
+                   "--out", "mub2.json") == 0
     for key, value in (("tau0", math.inf), ("pa_slope", [math.nan, 0.0])):
         capsys.readouterr()
-        write_scenario("inf.json", mode="md", launch_set="x.json",
+        write_scenario("inf.json", mode="md", launch_set="mub2.json",
                        fiber=dict(TWO_MODE_FIBER, pa_coeffs=[0.1, 0.4],
                                   **{key: value}))
         assert run_cli("simulate", "--scenario", "inf.json") == 4
         assert f"{key} must be finite" in capsys.readouterr().err
-    assert run_cli("gen-set", "--family", "mub", "--n", "2",
-                   "--out", "mub2.json") == 0
     capsys.readouterr()
     with open("listed.json", "w") as fh:
         json.dump([SCENARIOS["md"]], fh)
     assert run_cli("simulate", "--scenario", "listed.json") == 4
     assert "top level must be a JSON object" in capsys.readouterr().err
-    # a mode count numpy cannot shape (10**12 fails its size check before
-    # any allocation) is a malformed scenario, not a crash
+    # a fiber mode count the launch set does not share is a malformed
+    # scenario, refused before the fiber is synthesized
     for mode, n in [(m, n) for m in ("md", "mdl") for n in (-1, 0, 10**12)]:
         capsys.readouterr()
         scenario = json.loads(json.dumps(SCENARIOS[mode]))
@@ -651,7 +652,7 @@ def test_simulate_input_errors(capsys):
         write_scenario("n.json", **scenario)
         assert run_cli("simulate", "--scenario", "n.json",
                        "--out", "n_out.json") == 4, (mode, n)
-        assert "n.json: fiber:" in capsys.readouterr().err
+        assert f"has 2 modes, fiber has {n}" in capsys.readouterr().err
         assert not os.path.exists("n_out.json")
     no_energy = {k: v for k, v in NOISY_RECEIVER.items() if k != "energy"}
     for receiver, message in (
@@ -827,6 +828,67 @@ def test_simulate_refuses_outputs_that_collide(capsys, monkeypatch, flags):
     assert set(os.listdir()) == inputs
 
 
+def _snapshot() -> dict:
+    """Every file of the working directory and its bytes."""
+    return {p: Path(p).read_bytes() for p in os.listdir()}
+
+
+# an output or the manifest (STEM.manifest.json) naming each kind of input
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "in_md.json", "--out", "in_md.json"],
+    ["simulate", "--scenario", "in_md.json", "--out", "./in_md.json"],
+    ["simulate", "--scenario", "r.manifest.json", "--out", "r.json"],
+    ["simulate", "--scenario", "in_md.json", "--trials-out", "in_mub2.json"],
+    ["simulate", "--scenario", "via.json", "--out", "set"],
+    ["optimize", "--n", "2", "--init", "file:in_mub2.json",
+     "--out", "in_mub2"],
+    ["optimize", "--n", "2", "--init", "file:set.manifest.json",
+     "--out", "set"],
+])
+def test_outputs_never_overwrite_an_input(capsys, argv):
+    _md_inputs()
+    shutil.copy("in_md.json", "r.manifest.json")
+    shutil.copy("in_mub2.json", "set.manifest.json")
+    write_scenario("via.json", **dict(SCENARIOS["md"],
+                                      launch_set="set.manifest.json"))
+    before = _snapshot()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input ")
+    assert _snapshot() == before
+
+
+def test_joint_trials_out_exits_2_and_writes_nothing(capsys):
+    save_set(mub_set(2), "mub2.json")
+    write_scenario("joint.json", **SCENARIOS["joint"])
+    before = _snapshot()
+    assert main(["simulate", "--scenario", "joint.json",
+                 "--trials-out", "j.csv"]) == 2
+    assert "--trials-out needs an md or mdl scenario" in capsys.readouterr().err
+    assert _snapshot() == before
+
+
+@pytest.mark.parametrize("mode", ["md", "mdl"])
+def test_simulate_compares_mode_counts_before_synthesis(capsys, monkeypatch,
+                                                        mode):
+    drawn = []
+    real = cli.fibersim.haar_unitary
+    monkeypatch.setattr(cli.fibersim, "haar_unitary",
+                        lambda n, rng: drawn.append(n) or real(n, rng))
+    save_set(mub_set(2), "mub2.json")
+    scenario = json.loads(json.dumps(SCENARIOS[mode]))
+    scenario["fiber"]["n"] = 10**6  # never drawn: that would need 16 TB
+    write_scenario("big.json", **scenario)
+    assert main(["simulate", "--scenario", "big.json"]) == 4
+    assert "has 2 modes, fiber has 1000000" in capsys.readouterr().err
+    assert drawn == []
+    scenario["fiber"]["n"] = 2
+    write_scenario("ok.json", **scenario)
+    assert main(["simulate", "--scenario", "ok.json"]) == 0
+    assert drawn and set(drawn) == {2}
+
+
 NOT_UTF8 = b'{"n": 2, "family": "caf\xe9", "vectors": []}'
 
 
@@ -992,6 +1054,21 @@ def test_only_the_cli_reads_the_environment():
     readers = sorted(path.name for path in package.glob("*.py")
                      if "os.environ" in path.read_text())
     assert readers == ["cli.py"]
+
+
+# each rule of the package is written in one place: one worker pool, one
+# noise-seed check, one mode-count guard, one complex Gaussian draw and one
+# list of delay readouts
+ONE_HOME = ("ProcessPoolExecutor(", "a seed is required",
+            "need at least 2 modes", "1j * rng.standard_normal",
+            '("analytic", "waveform")')
+
+
+def test_each_rule_is_written_once():
+    package = Path(cli.__file__).parent
+    text = "".join(path.read_text() for path in package.glob("*.py"))
+    assert {rule: text.count(rule) for rule in ONE_HOME} \
+        == dict.fromkeys(ONE_HOME, 1)
 
 
 def test_malformed_worker_env_exits_2(capsys, monkeypatch):

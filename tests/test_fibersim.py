@@ -961,6 +961,27 @@ def test_mdl_reconstruction_failure_modes():
         fsim.reconstruct_mdl(ls, sx, [1.0, 1.0, 1.0], [1.0])
 
 
+def test_noisy_reads_name_the_seed_they_need():
+    f, rx, sx = random_fiber(2, seed=1), noisy_receiver(), simplex_set(2)
+    state = np.array([1.0, 0.0])
+    for call in (lambda: fsim.measure_delay(f, state, rx),
+                 lambda: fsim.estimate_tau0(f, rx, sx)):
+        with pytest.raises(ConfigError,
+                           match="^a seed is required for a noisy receiver$"):
+            call()
+    with pytest.raises(ConfigError,
+                       match="^a seed is required for noisy power readings$"):
+        fsim.measure_attenuation(f, state, rel_noise=0.1)
+
+
+def test_monte_carlo_mdl_checks_launch_mode_counts():
+    f = fsim.synth_mdl_fiber(3, [0.1, 0.2, 0.3], z=1.0, seed=1)
+    with pytest.raises(DimensionError, match="have 2 modes, fiber has 3"):
+        fsim.monte_carlo_mdl(f, mub_set(2), simplex_set(3), 1e-2, 4)
+    with pytest.raises(DimensionError, match="have 2 modes, fiber has 3"):
+        fsim.monte_carlo_mdl(f, mub_set(3), simplex_set(2), 1e-2, 4)
+
+
 def test_mdl_estimate_and_attenuation_validation():
     with pytest.raises(EstimationFailedError, match="positive"):
         fsim.MdlEstimate(2, -1.0, np.zeros(3), 1.0)
@@ -1085,6 +1106,15 @@ def test_crosstalk_reference_level():
     assert abs(norm_ds - 0.02828) < 1e-4
     # identity coefficient matrix: condition number one, bound == norm
     assert math.isclose(rel_bound, norm_ds, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-6, 1e-4, 0.1, 0.49])
+def test_crosstalk_bound_is_the_perturbation_norm(eps):
+    # kappa(I) and ||I||_2 are exactly 1, so the relative bound is ||dS||_2
+    eye = np.eye(3)
+    assert np.linalg.cond(eye) == np.linalg.norm(eye, 2) == 1.0
+    norm_ds, rel_bound = fsim.crosstalk_bound(eps)
+    assert rel_bound == norm_ds
 
 
 def test_crosstalk_square_root_asymptotics():

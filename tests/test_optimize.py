@@ -67,7 +67,7 @@ def test_gradients_match_finite_differences(algorithm, n):
 
 
 def test_gradient_check_rejects_unknown_algorithm():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown algorithm 'exact', pick"):
         gradient_check(3, algorithm="exact")
 
 
@@ -431,6 +431,11 @@ def test_multi_start_parallel_matches_serial():
         _assert_same_search(multi_start(3, starts=starts, config=cfg),
                             multi_start(3, starts=starts, config=cfg,
                                         workers=2))
+
+
+@pytest.mark.parametrize("workers", [-1, 0, 1, 2])
+def test_pool_map_keeps_job_order_at_any_width(workers):
+    assert optimize.pool_map(abs, [-3, 1, -2], workers) == [3, 1, 2]
 
 
 def test_multi_start_explicit_workers_match_serial():

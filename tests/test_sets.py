@@ -287,6 +287,16 @@ def test_set_constructors_validate():
         SimplexSet(n=2, states=np.ones((2, 2), dtype=complex))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LaunchSet(n=1, states=np.zeros((0, 1))),
+    lambda: SimplexSet(n=1, states=[[1.0]]),
+])
+def test_set_types_need_two_modes(build):
+    # shapes that match n = 1 are refused by the mode-count rule itself
+    with pytest.raises(DimensionError, match="need at least 2 modes, got n=1"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # Phase canonicalization and persistence
 # ---------------------------------------------------------------------------
