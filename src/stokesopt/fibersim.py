@@ -12,12 +12,12 @@ recover the delay vector and the loss parameters, mirroring how the physical
 experiment would process the same records.
 
 Every noiseless narrowband reading is an expectation <s|O|s>.  Both delay
-readouts are linear in the receiver noise: launch i reads d_i + g_i . e, with
-d_i its noiseless delay, e i.i.d. Gaussian noise and g_i a fixed gain (1 in
-analytic mode, the first-moment weights over the noiseless windowed energy in
-waveform mode).  measure_delay, estimate_tau0 and monte_carlo_md all compute
-(d, g) once per launch and then only draw e; monte_carlo_mdl likewise takes
-each clean attenuation a once and then only draws z in a (1 + rel_noise z).
+readouts obey one law: launch i reads d_i + s_i z, with d_i its noiseless
+delay, z standard normal and s_i a fixed scale (sqrt(delay_variance), or in
+waveform mode sigma ||g_i||: per-sample noise e ~ N(0, sigma^2) reads as
+g_i . e).  measure_delay, estimate_tau0 and monte_carlo_md compute (d, s)
+once per launch and then only draw z; monte_carlo_mdl likewise takes each
+clean attenuation a once and then only draws z in a (1 + rel_noise z).
 One Stokes solve, S^-1 formed once per call and applied row by row, serves
 every estimator: reconstruct_md and reconstruct_mdl are one-row cases, and
 both Monte Carlos estimate each bounded block of trials as they draw it, so
@@ -325,6 +325,7 @@ class ComplexGdOperator:
 
 def synth_md_fiber(n: int, tau0: float, md_vector, seed: int = 0) -> FiberModel:
     """Lossless fiber with the given delay data and a Haar-random U."""
+    check_modes(n)
     u = haar_unitary(n, rng_for(seed, 0))
     return FiberModel(n=n, tau0=float(tau0), md_vector=md_vector,
                       base_unitary=u)
@@ -338,6 +339,7 @@ def synth_mdl_fiber(n: int, pa_coeffs, z: float, seed: int = 0,
     The same seed reproduces the same U as synth_md_fiber; the loss states
     come from an independent substream.
     """
+    check_modes(n)
     a = np.asarray(pa_coeffs, dtype=float)
     if np.any(a < 0):
         raise ConfigError("attenuation rates must be non-negative")
@@ -424,22 +426,23 @@ def _fiber_modes(f: FiberModel, states: np.ndarray) -> np.ndarray:
 
 
 def _readout(f: FiberModel, states: np.ndarray, rx: ReceiverModel,
-             mode: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """(delays, gain, sigma) of unit launches `states` (k, n): launch i
-    reads delays[i] + gain[i] . e, with e i.i.d. N(0, sigma^2).
+             mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """(delays, scales) of unit launches `states` (k, n): launch i reads
+    delays[i] + scales[i] z, with z standard normal.
 
-    Analytic: the narrowband delay, one draw (gain 1).  Waveform: the Simpson
-    3/8 first moment of the noiseless detected pulse over its windowed energy
-    E_i, one draw per sample (gain weights * t / E_i).  That intensity is the
-    power-weighted sum of the n principal-mode pulses, each delayed by its
-    eigen-delay; the frequency-flat U(0) cannot change it.
+    Analytic: the narrowband delay, scale sqrt(delay_variance).  Waveform:
+    the Simpson 3/8 first moment of the noiseless detected pulse over its
+    windowed energy E_i; per-sample noise of variance sigma^2 reaches it
+    through the gain g_i = weights * t / E_i, so its scale is sigma ||g_i||.
+    That intensity is the power-weighted sum of the n principal-mode pulses,
+    each delayed by its eigen-delay; the frequency-flat U(0) cannot change it.
     """
     if mode not in DELAY_MODES:
         raise ConfigError(f"mode must be one of {DELAY_MODES}, got {mode!r}")
     _fiber_modes(f, states)
     if mode == "analytic":
-        return (group_delay(f, states), np.ones((len(states), 1)),
-                math.sqrt(rx.delay_variance))
+        return (group_delay(f, states),
+                np.full(len(states), math.sqrt(rx.delay_variance)))
     t = rx.time_grid()
     weights = rx.quadrature_weights()
     peak = rx.energy / (rx.pulse_width * math.sqrt(math.pi))
@@ -456,36 +459,33 @@ def _readout(f: FiberModel, states: np.ndarray, rx: ReceiverModel,
     signal = rx.responsivity * np.einsum("kj,pj->kp", powers,
                                          np.abs(mode_pulses) ** 2)
     energy = np.einsum("kp,p->k", signal, weights)
-    return (np.einsum("kp,p->k", signal * t, weights) / energy,
-            weights * t / energy[:, None], math.sqrt(rx.sample_noise_variance))
+    noise = math.sqrt(rx.sample_noise_variance) * np.linalg.norm(weights * t)
+    return np.einsum("kp,p->k", signal * t, weights) / energy, noise / energy
 
 
-def _noisy_reads(delays: np.ndarray, gain: np.ndarray, sigma: float,
+def _noisy_reads(delays: np.ndarray, scales: np.ndarray,
                  rng: np.random.Generator, rows: int) -> np.ndarray:
-    """`rows` readouts (rows, k) of one launch batch, noise drawn in order."""
-    noise = rng.normal(0.0, sigma, (rows, *gain.shape))
-    return delays + np.einsum("tkp,kp->tk", noise, gain)
+    """`rows` readouts (rows, k) of one launch batch, drawn in order."""
+    return delays + rng.standard_normal((rows, delays.size)) * scales
 
 
 def measure_delay(f: FiberModel, state, rx: ReceiverModel,
                   mode: str = "analytic", seed=None) -> float:
-    """One group-delay readout d + g . e for a unit launch state.
+    """One group-delay readout d + s z for a unit launch state.
 
-    Analytic mode adds Gaussian noise of the closed-form variance to the
-    narrowband delay.  Waveform mode synthesizes the detected pulse
-    (Gaussian spectrum, per-frequency modal propagation, total intensity)
-    and reads the Simpson 3/8 first moment of it plus per-sample current
-    noise, over the noiseless windowed energy.  Both read the delay of the
-    unitary part only; attenuation has its own channel.  `seed` (int or
-    tuple of ints) is required whenever rx.noise_psd > 0.
+    Analytic mode reads the narrowband delay.  Waveform mode synthesizes the
+    detected pulse (Gaussian spectrum, per-frequency modal propagation, total
+    intensity) and reads its Simpson 3/8 first moment over its windowed
+    energy.  Either way receiver noise adds one normal of the readout's scale
+    s (see _readout).  Both read the delay of the unitary part only;
+    attenuation has its own channel.  `seed` (int or tuple of ints) is
+    required whenever rx.noise_psd > 0.
     """
-    state = _launch_state(f, state)
-    delays, gain, sigma = _readout(f, state[None, :], rx, mode)
-    value = float(delays[0])
+    delays, scales = _readout(f, _launch_state(f, state)[None], rx, mode)
     if rx.noise_psd > 0.0:
         rng = _rng_from(seed, "a noisy receiver")
-        value += float(np.vdot(gain, rng.normal(0.0, sigma, gain.shape)))
-    return value
+        delays = _noisy_reads(delays, scales, rng, 1)[0]
+    return float(delays[0])
 
 
 def estimate_tau0(f: FiberModel, rx: ReceiverModel, simplex: SimplexSet,
@@ -500,10 +500,10 @@ def estimate_tau0(f: FiberModel, rx: ReceiverModel, simplex: SimplexSet,
     """
     if repeats < 1:
         raise ConfigError("repeats must be at least 1")
-    delays, gain, sigma = _readout(f, simplex.states, rx, mode)
+    delays, scales = _readout(f, simplex.states, rx, mode)
     if rx.noise_psd > 0.0:
         rng = _rng_from(seed, "a noisy receiver")
-        delays = _noisy_reads(delays, gain, sigma, rng, repeats)
+        delays = _noisy_reads(delays, scales, rng, repeats)
     return float(np.mean(delays))
 
 
@@ -593,27 +593,27 @@ def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
                    mode: str = "analytic") -> dict:
     """Repeat the delay-vector measurement and tabulate the errors.
 
-    The readouts d + g . e draw their noise from one stream of seed in trial
+    The readouts d + s z draw their noise from one stream of seed in trial
     order, in bounded blocks, so the first t trials do not depend on the run
     length; each block is solved as drawn, each trial as reconstruct_md.
     Returns the per-trial squared error norms, their mean, the mean error
     vector, the empirical covariance and the mean square predicted from the
-    noise drawn, of variance sigma^2 ||g_i||^2 at launch i.  A launch set
-    that metrics rejects raises SingularSetError before any draw.
+    noise drawn, of variance s_i^2 at launch i.  A launch set that metrics
+    rejects raises SingularSetError before any draw.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
     cost(launch_set)  # SingularSetError for a set metrics rejects
     if rx.noise_psd <= 0:
         raise ConfigError("monte_carlo_md needs a noisy receiver")
-    delays, gain, sigma = _readout(f, launch_set.states, rx, mode)
+    delays, scales = _readout(f, launch_set.states, rx, mode)
     rng = rng_for(seed, _NOISE_STREAM)
 
     def estimate(rows):
-        dev = _noisy_reads(delays, gain, sigma, rng, rows) - f.tau0
+        dev = _noisy_reads(delays, scales, rng, rows) - f.tau0
         return (_solve_stokes(launch_set, _finite(dev)) - f.md_vector,)
 
-    errors, = _in_trial_order(estimate, trials, gain.size)
+    errors, = _in_trial_order(estimate, trials, delays.size)
     sq = np.einsum("tm,tm->t", errors, errors)
     return {
         "trials": trials,
@@ -622,8 +622,7 @@ def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
         "covariance": errors.T @ errors / trials,
         "sq_errors": sq,
         "mean_sq_error": float(sq.mean()),
-        "predicted_mean_sq": _predicted_mse(
-            launch_set, np.diag(sigma * np.linalg.norm(gain, axis=1))),
+        "predicted_mean_sq": _predicted_mse(launch_set, np.diag(scales)),
     }
 
 

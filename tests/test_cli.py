@@ -1057,11 +1057,12 @@ def test_only_the_cli_reads_the_environment():
 
 
 # each rule of the package is written in one place: one worker pool, one
-# noise-seed check, one mode-count guard, one complex Gaussian draw and one
-# list of delay readouts
+# noise-seed check, one mode-count guard, one complex Gaussian draw, one
+# list of delay readouts and one delay-noise draw
 ONE_HOME = ("ProcessPoolExecutor(", "a seed is required",
             "need at least 2 modes", "1j * rng.standard_normal",
-            '("analytic", "waveform")')
+            '("analytic", "waveform")',
+            "rng.standard_normal((rows, delays.size)) * scales")
 
 
 def test_each_rule_is_written_once():

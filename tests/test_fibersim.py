@@ -66,6 +66,18 @@ def unit_state(rng, n):
 # Synthesis and propagation
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_synthesis_checks_the_mode_count_before_drawing(monkeypatch, n):
+    drawn = []
+    monkeypatch.setattr(fsim, "haar_unitary",
+                        lambda *args: drawn.append(args))
+    with pytest.raises(DimensionError, match=f"at least 2 modes, got n={n}"):
+        fsim.synth_md_fiber(n, 0.0, [])
+    with pytest.raises(DimensionError, match=f"at least 2 modes, got n={n}"):
+        fsim.synth_mdl_fiber(n, [], z=1.0)
+    assert drawn == []
+
+
 def test_synth_is_deterministic_and_unitary():
     a = fsim.synth_md_fiber(3, 0.0, np.zeros(8), seed=5)
     b = fsim.synth_md_fiber(3, 0.0, np.zeros(8), seed=5)
@@ -533,19 +545,23 @@ def test_monte_carlo_waveform_mode_and_parallel_merge(monkeypatch):
                               mode="waveform")
     assert 0.9 < out["mean_sq_error"] / out["predicted_mean_sq"] < 1.3
     # trial t's noise depends neither on the run length nor on how the
-    # draws are split into blocks; the n=4 waveform run crosses a block
-    # boundary at the default block size
-    for fiber, launch in ((f, mub_set(2)),
-                          (random_fiber(4, seed=4), bundled_optimal_set())):
+    # draws are split into blocks; the n=4 runs, one draw per launch, cross
+    # a block boundary at the default block size
+    long_n4 = 4400
+    assert long_n4 > fsim._DRAW_BLOCK // bundled_optimal_set().m
+    for fiber, launch, trials in (
+            (f, mub_set(2), 333),
+            (random_fiber(4, seed=4), bundled_optimal_set(), long_n4)):
         for mode in fsim.DELAY_MODES:
             def run(trials):
                 return fsim.monte_carlo_md(fiber, launch, rx, trials, seed=3,
                                            mode=mode)["sq_errors"]
-            long = run(333)
+            long = run(trials)
             np.testing.assert_array_equal(long[:20], run(20), err_msg=mode)
             with monkeypatch.context() as patch:
                 patch.setattr(fsim, "_DRAW_BLOCK", 1)
-                np.testing.assert_array_equal(run(333), long, err_msg=mode)
+                np.testing.assert_array_equal(run(trials), long,
+                                              err_msg=mode)
 
 
 @pytest.mark.parametrize("mode", fsim.DELAY_MODES)
@@ -557,8 +573,8 @@ def test_monte_carlo_md_matches_per_trial_reference(mode):
         f = random_fiber(n, seed=n)
         ls = bundled_optimal_set() if n == 4 else yang_nolan(n)
         out = fsim.monte_carlo_md(f, ls, rx, 40, seed=6, mode=mode)
-        delays, gain, sigma = fsim._readout(f, ls.states, rx, mode)
-        reads = fsim._noisy_reads(delays, gain, sigma,
+        delays, scales = fsim._readout(f, ls.states, rx, mode)
+        reads = fsim._noisy_reads(delays, scales,
                                   rng_for(6, fsim._NOISE_STREAM), 40)
         errors = np.array([fsim.reconstruct_md(ls, r, f.tau0) - f.md_vector
                            for r in reads])
@@ -575,9 +591,9 @@ def test_monte_carlo_md_rejects_a_non_finite_delay(monkeypatch, mode):
     readout = fsim._readout
 
     def one_nan(*args):
-        delays, gain, sigma = readout(*args)
+        delays, scales = readout(*args)
         delays[1] = math.nan
-        return delays, gain, sigma
+        return delays, scales
 
     monkeypatch.setattr(fsim, "_readout", one_nan)
     with pytest.raises(ConfigError, match="measurement value must be finite"):
@@ -624,57 +640,76 @@ def _noiseless_pulse(f, state, rx):
     return rx.responsivity * np.sum(np.abs(fields) ** 2, axis=1)
 
 
-def _waveform_reference_reads(f, states, rx, rng, rows):
-    """Noisy waveform delays, one launch at a time: the clean readout plus
-    the first moment of a noise row over the noiseless windowed energy, the
-    rows drawn from rng in (row, launch) order.
-
-    The moment is taken term by term because adding microampere noise
-    samples to a pulse of tens of milliamperes before the sum rounds away
-    about 1e-12 of the noise.
-    """
-    clean = dataclasses.replace(rx, noise_psd=0.0)
+def _waveform_reference(f, states, rx):
+    """Clean delays and noise gains of the waveform readout, one launch at
+    a time: the first moment of each noiseless pulse over its windowed
+    energy E_i, and the gain g_i = w t / E_i through which per-sample noise
+    e reaches that moment as g_i . e."""
     t, w = rx.time_grid(), rx.quadrature_weights()
-    sigma = math.sqrt(rx.sample_noise_variance)
-    delays = [fsim.measure_delay(f, s, clean, "waveform")
-              for s in states]
     pulses = [_noiseless_pulse(f, s, rx) for s in states]
-    energies = [w @ pulse for pulse in pulses]
-    # the clean readout is itself checked against this independent synthesis
-    np.testing.assert_allclose(
-        delays, [w @ (t * p) / e for p, e in zip(pulses, energies)],
-        rtol=1e-11, atol=0)
-    reads = np.empty((rows, len(states)))
-    for row in range(rows):
-        for i, (delay, energy) in enumerate(zip(delays, energies)):
-            noise = rng.normal(0.0, sigma, t.size)
-            reads[row, i] = delay + w @ (t * noise) / energy
-    return reads
+    energies = np.array([w @ pulse for pulse in pulses])
+    delays = np.array([w @ (t * pulse) for pulse in pulses]) / energies
+    return delays, (w * t) / energies[:, None]
 
 
 @pytest.mark.parametrize("n, launch", [(2, mub_set(2)),
                                        (4, bundled_optimal_set())])
 def test_waveform_monte_carlo_matches_per_pulse_reference(n, launch):
+    # the readout's clean delays and noise scales sigma ||w t|| / E_i agree
+    # with the per-pulse synthesis, and every noisy read, in the Monte Carlo
+    # and in a single measure_delay, is the clean delay plus the scale
+    # times the next standard normal of its stream
     f = random_fiber(n, seed=n)
     rx = noisy_receiver()
-    reads = _waveform_reference_reads(
-        f, launch.states, rx, rng_for(7, fsim._NOISE_STREAM), 12)
+    ref_delays, gains = _waveform_reference(f, launch.states, rx)
+    delays, scales = fsim._readout(f, launch.states, rx, "waveform")
+    np.testing.assert_allclose(delays, ref_delays, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(
+        scales, math.sqrt(rx.sample_noise_variance)
+        * np.linalg.norm(gains, axis=1), rtol=1e-12, atol=0)
+    z = rng_for(7, fsim._NOISE_STREAM).standard_normal((12, launch.m))
     errors = np.array([fsim.reconstruct_md(launch, r, f.tau0) - f.md_vector
-                       for r in reads])
+                       for r in delays + z * scales])
     ref = {"sq_errors": np.einsum("tm,tm->t", errors, errors),
            "mean_error": errors.mean(axis=0),
            "covariance": errors.T @ errors / len(errors)}
     out = fsim.monte_carlo_md(f, launch, rx, 12, seed=7, mode="waveform")
     for key, want in ref.items():
-        np.testing.assert_allclose(out[key], want, rtol=1e-12, atol=0,
-                                   err_msg=key)
+        np.testing.assert_array_equal(out[key], want, err_msg=key)
+    for i, state in enumerate(launch.states[:3]):
+        want = delays[i] + rng_for(5, i).standard_normal() * scales[i]
+        assert fsim.measure_delay(f, state, rx, "waveform",
+                                  seed=(5, i)) == want
+
+
+def test_waveform_noise_scale_is_the_per_sample_noise_it_stands_for():
+    # per-sample noise, drawn here as the receiver would see it, reaches
+    # each launch's first moment as g_i . e; its variance is the square of
+    # the scale the readout draws one normal with
+    f = random_fiber(4, seed=4)
+    launch, rx = bundled_optimal_set(), noisy_receiver()
+    _, gains = _waveform_reference(f, launch.states, rx)
+    _, scales = fsim._readout(f, launch.states, rx, "waveform")
+    noise = rng_for(41, 3).normal(0.0, math.sqrt(rx.sample_noise_variance),
+                                  (8000, rx.sample_count))
+    moments = noise @ gains.T
+    # 8000 draws estimate a variance to a relative standard error of 1.6 %
+    np.testing.assert_allclose(moments.var(axis=0) / scales ** 2, 1.0,
+                               rtol=0.06, atol=0)
+    assert np.all(np.abs(moments.mean(axis=0)) < 4 * scales / math.sqrt(8000))
 
 
 def test_waveform_tau0_matches_measure_delay_mean():
     f = random_fiber(4, seed=3)
     sx = simplex_set(4, seed=1)
     rx = noisy_receiver()
-    reads = _waveform_reference_reads(f, sx.states, rx, rng_for(5, 9), 3)
+    clean = dataclasses.replace(rx, noise_psd=0.0)
+    delays = np.array([fsim.measure_delay(f, s, clean, "waveform")
+                       for s in sx.states])
+    _, gains = _waveform_reference(f, sx.states, rx)
+    scales = math.sqrt(rx.sample_noise_variance) * np.linalg.norm(gains,
+                                                                  axis=1)
+    reads = delays + rng_for(5, 9).standard_normal((3, 4)) * scales
     got = fsim.estimate_tau0(f, rx, sx, repeats=3, seed=(5, 9),
                              mode="waveform")
     assert math.isclose(got, float(np.mean(reads)), rel_tol=1e-12)
