@@ -70,6 +70,7 @@ from .optimize import (
     jitter_set,
     multi_start,
     pool_map,
+    pool_width,
 )
 from .sets import (
     LaunchSet,
@@ -268,8 +269,8 @@ def cmd_optimize(args) -> int:
     config = OptimizerConfig(algorithm=args.algo, max_iters=args.max_iter,
                              seed=args.seed)
     if args.init == "random":
-        # the width multi_start runs at: serial below two workers or starts
-        workers = max(1, min(_cli_workers(), args.starts))
+        # the width multi_start runs at
+        workers = pool_width(_cli_workers(), args.starts)
     else:
         workers = 1
         initial = _initial_for(args.init, args.n, args.seed, args.tol, out)
@@ -389,7 +390,7 @@ def cmd_sweep(args) -> int:
                 skipped.append(f"{fam}:{n}")
                 continue
             jobs.append((fam, n, args.seed, args.tol))
-    workers = max(1, min(_cli_workers(), len(jobs)))
+    workers = pool_width(_cli_workers(), len(jobs))
     rows = pool_map(_sweep_row, jobs, workers)
     out.csv(path, "n,family,xi,penalty_db,condition_number,log_volume", rows)
     out.manifest(workers)
@@ -525,10 +526,11 @@ def _simulate_joint(doc, fiber, ls, seed, where):
     sx = simplex_set(fiber.n, seed=_seed_field(doc, "simplex_seed", where,
                                                seed))
 
-    est = fibersim.reconstruct_mdl(
-        ls, sx,
-        [fibersim.measure_attenuation(fiber, s) for s in ls.states],
-        [fibersim.measure_attenuation(fiber, s) for s in sx.states])
+    # one stacked read of the clean attenuations; each row reads what a
+    # single measure_attenuation call reads
+    clean = fibersim._expectation(fiber.squared_loss,
+                                  np.concatenate([ls.states, sx.states]))
+    est = fibersim.reconstruct_mdl(ls, sx, clean[:ls.m], clean[ls.m:])
     equalized = fibersim.equalize(fiber, est)
     w = equalized.base_unitary
     unitarity = float(np.max(np.abs(w.conj().T @ w - np.eye(fiber.n))))

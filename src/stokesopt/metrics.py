@@ -13,6 +13,10 @@ states), which is cheaper and better conditioned than squaring an
 explicitly built S; tests compare the two routes.  Every xi in the package,
 the optimizer's included, comes from one kernel: the inverse Cholesky factor
 L^-1 of G, with xi = ||L^-1||_F^2.
+
+At large m = n^2 - 1 the kernel holds one m x m buffer per stage beside
+strips and quarter blocks: G is filled a strip of rows at a time, and L^-1
+is written into the Cholesky factor it inverts.
 """
 from __future__ import annotations
 
@@ -83,8 +87,10 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
     """Inverse of a lower-triangular matrix, exactly lower triangular.
 
     Blocked: with L = [[A, 0], [C, D]], L^-1 = [[A^-1, 0], [-D^-1 C A^-1,
-    D^-1]].  LU pivoting in np.linalg.inv leaves rounding (about 1e-15)
-    above the diagonal of a leaf block, which the mask sets back to 0.
+    D^-1]], written into `low` itself above _LEAF (C A^-1 is taken before
+    C is overwritten), so the caller's L is gone.  LU pivoting in
+    np.linalg.inv leaves rounding (about 1e-15) above the diagonal of a
+    leaf block, which the mask sets back to 0.
     """
     m = low.shape[0]
     if m <= _LEAF:
@@ -92,18 +98,19 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
         inv *= _lower_mask(m)
         return inv
     h = m // 2
-    a_inv = _lower_inverse(low[:h, :h])
-    d_inv = _lower_inverse(low[h:, h:])
-    inv = np.zeros_like(low)
-    inv[:h, :h] = a_inv
-    inv[h:, h:] = d_inv
-    inv[h:, :h] = -(d_inv @ (low[h:, :h] @ a_inv))
-    return inv
+    a, c, d = low[:h, :h], low[h:, :h], low[h:, h:]
+    a[...] = _lower_inverse(a)  # a no-op copy when a was inverted in place
+    ca = c @ a
+    d[...] = _lower_inverse(d)
+    np.matmul(d, ca, out=c)
+    np.negative(c, out=c)
+    return low
 
 
 def _inverse_factor(g: np.ndarray) -> np.ndarray:
     """The one Tr(G^-1) kernel: L^-1 for the lower Cholesky factor L of a
-    real Gram G = L L^T, by np.linalg.cholesky and `_lower_inverse`.
+    real Gram G = L L^T, by np.linalg.cholesky and `_lower_inverse`, which
+    overwrites that fresh factor and nothing the caller holds.
 
     L^-1 is exactly lower triangular: xi = ||L^-1||_F^2 (`_xi`) and
     G^-1 = L^-T L^-1.  Shared by the metrics and the optimizer loop (no

@@ -252,10 +252,18 @@ def jitter_set(s: LaunchSet, scale: float = 1e-6, seed: int = 0) -> LaunchSet:
     return LaunchSet(n=s.n, states=jittered, family=s.family, meta=meta)
 
 
+def pool_width(workers: int, jobs: int) -> int:
+    """The width `pool_map` runs `jobs` jobs at: `workers`, but at least one
+    process and no more than there are jobs."""
+    return max(1, min(workers, jobs))
+
+
 def pool_map(fn, jobs: list, workers: int) -> list:
-    """[fn(job) for job in jobs], in this process when workers <= 1, else over
-    the package's one pool of `workers` processes (fn and jobs must pickle)."""
-    if workers <= 1:
+    """[fn(job) for job in jobs], in this process at width 1, else over the
+    package's one pool of pool_width(workers, len(jobs)) processes (fn and
+    jobs must pickle)."""
+    workers = pool_width(workers, len(jobs))
+    if workers == 1:
         return [fn(job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -287,7 +295,7 @@ def multi_start(n: int, starts: int = 8,
     if config is None:
         config = OptimizerConfig()
     runs = pool_map(_descend_start, [(n, config, i) for i in range(starts)],
-                    min(workers, starts))
+                    workers)
     best_index = None
     for i, run in enumerate(runs):
         if run.aborted:

@@ -114,6 +114,11 @@ def check_orthonormal(rows: np.ndarray, what: str) -> np.ndarray:
     return rows
 
 
+# stacks of more states than this are turned into a Gram this many rows at
+# a time, so the complex overlaps never take more than a strip of memory
+_GRAM_ROWS = 32
+
+
 def gram_from_states(states: np.ndarray, n: int) -> np.ndarray:
     """Stokes Gram of a state stack straight from Jones overlaps.
 
@@ -121,12 +126,33 @@ def gram_from_states(states: np.ndarray, n: int) -> np.ndarray:
     this is shat_j . shat_k = 2 c_n^2 (|<s_j|s_k>|^2 - 1/n); off the unit
     spheres it is the smooth extension whose cost the optimizer's gradient
     reproduces entry by entry.
+
+    Above _GRAM_ROWS states the real (m, m) result is the one m x m buffer:
+    it is filled a strip of rows at a time, the |<s_j|s_k>|^2 in a first
+    pass and the norm term in a second, with the same operations in the
+    same order as the one-strip case, so every entry has the same bits.
     """
-    ov = states.conj() @ states.T
-    nrm2 = ov.diagonal().real.copy()
-    # |<s_j|s_k>|^2 overwrites the overlaps: one m x m complex buffer
-    sq = np.multiply(ov.conj(), ov, out=ov).real
-    return (n / (n - 1.0)) * (sq - nrm2[:, None] * nrm2 / n)
+    m = states.shape[0]
+    if m <= _GRAM_ROWS:
+        ov = states.conj() @ states.T
+        nrm2 = ov.diagonal().real.copy()
+        # |<s_j|s_k>|^2 overwrites the overlaps: one m x m complex buffer
+        sq = np.multiply(ov.conj(), ov, out=ov).real
+        return (n / (n - 1.0)) * (sq - nrm2[:, None] * nrm2 / n)
+    g = np.empty((m, m))
+    nrm2 = np.empty(m)
+    strips = [slice(lo, lo + _GRAM_ROWS) for lo in range(0, m, _GRAM_ROWS)]
+    for rows in strips:
+        ov = states[rows].conj() @ states.T
+        nrm2[rows] = ov[:, rows].diagonal().real
+        g[rows] = np.multiply(ov.conj(), ov, out=ov).real
+    for rows in strips:
+        strip = g[rows]
+        t = nrm2[rows, None] * nrm2
+        t /= n
+        strip -= t
+        strip *= n / (n - 1.0)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +300,9 @@ def sic_gram(n: int) -> np.ndarray:
     check_modes(n)
     m = n * n - 1
     off = -1.0 / m
-    return np.full((m, m), off) + np.eye(m) * (1.0 - off)
+    g = np.full((m, m), off)
+    np.fill_diagonal(g, off + (1.0 - off))
+    return g
 
 
 def sic_penalty(n: int) -> float:

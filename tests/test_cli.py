@@ -1062,7 +1062,8 @@ def test_only_the_cli_reads_the_environment():
 ONE_HOME = ("ProcessPoolExecutor(", "a seed is required",
             "need at least 2 modes", "1j * rng.standard_normal",
             '("analytic", "waveform")',
-            "rng.standard_normal((rows, delays.size)) * scales")
+            "rng.standard_normal((rows, delays.size)) * scales",
+            "max(1, min(workers, jobs))")
 
 
 def test_each_rule_is_written_once():

@@ -9,6 +9,7 @@ orthonormal lower bound, and against the closed-form penalties of the
 symmetric families up to 30 modes.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from stokesopt.metrics import (
     metrics_from_gram,
     penalty_db,
     variance_prediction,
+    _LEAF,
     _inverse_factor,
     _xi,
 )
@@ -199,6 +201,51 @@ def test_xi_cholesky_matches_cho_factor_route_bitwise(lapack_inverse_factor):
         assert _xi(linv) == metrics(s).xi
     with pytest.raises(SingularSetError, match="not positive definite"):
         _inverse_factor(-np.eye(3))
+
+
+def _copying_lower_inverse(low):
+    """The blocked triangular inverse into fresh arrays, `low` untouched."""
+    m = low.shape[0]
+    if m <= _LEAF:
+        inv = np.linalg.inv(low)
+        inv *= np.tri(m, dtype=bool)
+        return inv
+    h = m // 2
+    a_inv = _copying_lower_inverse(low[:h, :h])
+    d_inv = _copying_lower_inverse(low[h:, h:])
+    inv = np.zeros_like(low)
+    inv[:h, :h] = a_inv
+    inv[h:, h:] = d_inv
+    inv[h:, :h] = -(d_inv @ (low[h:, :h] @ a_inv))
+    return inv
+
+
+@pytest.mark.parametrize("n", [9, 10, 30])
+def test_inverse_factor_in_place_matches_copying_recursion_bitwise(n):
+    # m = 80, 99, 899: one split into two leaves, a split with leaves of
+    # uneven size, and four levels of splits
+    g = gram(random_set(n, seed=n))
+    low = np.linalg.cholesky(g)
+    assert (_inverse_factor(g).tobytes()
+            == _copying_lower_inverse(low).tobytes())
+
+
+def test_inverse_factor_peak_memory_is_its_factor_and_quarter_blocks():
+    # L^-1 is written into the Cholesky factor: at m = 399 the traced peak
+    # is that factor plus quarter-size blocks, under two m x m arrays.
+    # numpy's LAPACK wrappers copy their operands into buffers from plain
+    # malloc, which tracemalloc does not see
+    n = 20
+    m = n * n - 1
+    g = gram(random_set(n, seed=0))
+    _inverse_factor(g)
+    tracemalloc.start()
+    try:
+        _inverse_factor(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * m * m
 
 
 def test_inverse_factor_matches_cho_solve_reference():

@@ -6,6 +6,7 @@ property and a finite-difference oracle for its fiducial Jacobian;
 persistence is checked for exact round trips.
 """
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from stokesopt.seeding import rng_for
 from stokesopt.sets import (
     LaunchSet,
     SimplexSet,
+    _GRAM_ROWS,
     _fiducial_residuals,
     bundled_optimal_set,
     canonicalize_phases,
@@ -39,6 +41,47 @@ from stokesopt.sets import (
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+# ---------------------------------------------------------------------------
+# Gram from Jones overlaps
+# ---------------------------------------------------------------------------
+
+def _one_shot_gram(states, n):
+    """The overlap Gram formula over the whole stack in one expression."""
+    ov = states.conj() @ states.T
+    nrm2 = ov.diagonal().real.copy()
+    sq = (ov.conj() * ov).real
+    return (n / (n - 1.0)) * (sq - nrm2[:, None] * nrm2 / n)
+
+
+@pytest.mark.parametrize("n", [5, 6, 8, 9, 12, 30])
+def test_gram_from_states_matches_one_shot_formula_bitwise(n):
+    # m = 24 fits one strip of rows, m = 35 needs a second strip of three,
+    # and m = 63, 80, 143, 899 take two to 29 strips; off the unit spheres
+    # too, where the norm term differs row by row
+    assert 24 <= _GRAM_ROWS < 35
+    states = random_set(n, seed=n).states
+    scaled = states * rng_for(n, 1).uniform(0.5, 2.0, (n * n - 1, 1))
+    for stack in (states, scaled):
+        assert (gram_from_states(stack, n).tobytes()
+                == _one_shot_gram(stack, n).tobytes())
+
+
+def test_gram_from_states_peak_memory_is_one_output_buffer():
+    # at m = 399 the one-shot formula peaks near four m x m float arrays;
+    # by strips of rows the traced peak stays under one and a half
+    n = 20
+    m = n * n - 1
+    states = random_set(n, seed=0).states
+    gram_from_states(states, n)
+    tracemalloc.start()
+    try:
+        gram_from_states(states, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * m * m
 
 
 # ---------------------------------------------------------------------------
