@@ -162,8 +162,8 @@ class _Outputs:
             return reader(path)
 
     def set(self, s, path: str) -> None:
-        s.meta["manifest"] = self.name
-        save_set(s, path)
+        meta = {**s.meta, "manifest": self.name}
+        save_set(dataclasses.replace(s, meta=meta), path)
         self.written.append(path)
 
     def json(self, path: str, doc: dict) -> None:

@@ -18,7 +18,7 @@ waveform mode sigma ||g_i||: per-sample noise e ~ N(0, sigma^2) reads as
 g_i . e).  measure_delay, estimate_tau0 and monte_carlo_md compute (d, s)
 once per launch and then only draw z; monte_carlo_mdl likewise takes each
 clean attenuation a once and then only draws z in a (1 + rel_noise z).
-One Stokes solve, S^-1 formed once per call and applied row by row, serves
+One Stokes solve, S^-1 formed once per set and applied row by row, serves
 every estimator: reconstruct_md and reconstruct_mdl are one-row cases, and
 both Monte Carlos estimate each bounded block of trials as they draw it, so
 a trial reads bit for bit what the single call reads and memory stays flat
@@ -44,16 +44,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionError,
-    EstimationFailedError,
-    SingularSetError,
-)
+from .errors import ConfigError, DimensionError, EstimationFailedError
 from .gellmann import assemble, check_modes, expand_matrix, norm_coeff
-from .metrics import cost
 from .seeding import rng_for
-from .sets import LaunchSet, SimplexSet, check_orthonormal, haar_unitary
+from .sets import (LaunchSet, SimplexSet, check_orthonormal, haar_unitary,
+                   read_only)
 
 __all__ = [
     "FiberModel",
@@ -158,7 +153,7 @@ class FiberModel:
             _finite(sl, "pa_slope")
             fields.update(pa_slope=sl)
         for name, value in fields.items():
-            object.__setattr__(self, name, _read_only(value))
+            object.__setattr__(self, name, read_only(value))
 
     @property
     def m(self) -> int:
@@ -167,12 +162,12 @@ class FiberModel:
     @cached_property
     def delay_operator(self) -> np.ndarray:
         """Hermitian generator tau0*I + md_vector . L / (2 c_n), built once."""
-        return _read_only(assemble(self.n, self.tau0, self.md_vector))
+        return read_only(assemble(self.n, self.tau0, self.md_vector))
 
     @cached_property
     def squared_loss(self) -> np.ndarray:
         """P^2 at the carrier, built once; identity for a lossless fiber."""
-        return _read_only(self.loss_matrix(squared=True))
+        return read_only(self.loss_matrix(squared=True))
 
     def loss_matrix(self, domega: float = 0.0, squared: bool = False) -> np.ndarray:
         """P (or P^2) at detuning domega; identity for a lossless fiber."""
@@ -527,24 +522,12 @@ def _finite(values: np.ndarray, what: str = "measurement value"):
     return values
 
 
-def _read_only(values: np.ndarray) -> np.ndarray:
-    """`values`, made read-only in place."""
-    values.flags.writeable = False
-    return values
-
-
 def _solve_stokes(launch_set: LaunchSet, dev: np.ndarray) -> np.ndarray:
-    """x = 2 c_n^2 S^-1 d for each row d of a (t, m) stack.  The scaled
-    inverse is formed once per call and applied to each row by a 2-operand
-    einsum, which rounds each row the same at any t (see _expectation): a
-    row solves bit for bit as it does alone.  A singular Stokes coefficient
-    matrix S raises SingularSetError."""
+    """x = 2 c_n^2 S^-1 d for each row d of a (t, m) stack, from the set's
+    S^-1 by a 2-operand einsum, which rounds each row the same at any t (see
+    _expectation): a row solves bit for bit as it does alone."""
     c = norm_coeff(launch_set.n)
-    try:
-        inverse = np.linalg.inv(launch_set.stokes_matrix())
-    except np.linalg.LinAlgError as exc:
-        raise SingularSetError("stokes coefficient matrix is singular") from exc
-    return np.einsum("ij,tj->ti", 2.0 * c * c * inverse, dev)
+    return np.einsum("ij,tj->ti", 2.0 * c * c * launch_set.stokes_inverse, dev)
 
 
 def reconstruct_md(launch_set: LaunchSet, delays, tau0: float) -> np.ndarray:
@@ -603,10 +586,10 @@ def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    cost(launch_set)  # SingularSetError for a set metrics rejects
     if rx.noise_psd <= 0:
         raise ConfigError("monte_carlo_md needs a noisy receiver")
     delays, scales = _readout(f, launch_set.states, rx, mode)
+    predicted = _predicted_mse(launch_set, np.diag(scales))
     rng = rng_for(seed, _NOISE_STREAM)
 
     def estimate(rows):
@@ -622,7 +605,7 @@ def monte_carlo_md(f: FiberModel, launch_set: LaunchSet, rx: ReceiverModel,
         "covariance": errors.T @ errors / trials,
         "sq_errors": sq,
         "mean_sq_error": float(sq.mean()),
-        "predicted_mean_sq": _predicted_mse(launch_set, np.diag(scales)),
+        "predicted_mean_sq": predicted,
     }
 
 
@@ -726,11 +709,15 @@ def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
         raise ConfigError("trials must be at least 1")
     if not 0.0 <= rel_noise < math.inf:
         raise ConfigError("rel_noise must be finite and non-negative")
-    cost(launch_set)  # SingularSetError for a set metrics rejects
     m = launch_set.m
     clean = _expectation(f.squared_loss, np.concatenate([
         _fiber_modes(f, launch_set.states), _fiber_modes(f, simplex.states)]))
     alpha0_true, gamma_true = mdl_parameters(f)
+    # C = R R^T with R = rel_noise [diag(r) | spread r]
+    r = clean[:m] / alpha0_true
+    spread = math.sqrt(clean[m:] @ clean[m:]) / (f.n * alpha0_true)
+    root = rel_noise * np.column_stack([np.diag(r), spread * r])
+    predicted = _predicted_mse(launch_set, root)
     rng = rng_for(seed, _ATTENUATION_STREAM)
 
     def estimate(rows):
@@ -739,10 +726,6 @@ def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
         return np.sum((gamma - gamma_true) ** 2, axis=1), alpha0, ratio
 
     sq, alpha0, ratio = _in_trial_order(estimate, trials, clean.size)
-    # C = R R^T with R = rel_noise [diag(r) | spread r]
-    r = clean[:m] / alpha0_true
-    spread = math.sqrt(clean[m:] @ clean[m:]) / (f.n * alpha0_true)
-    root = rel_noise * np.column_stack([np.diag(r), spread * r])
     return {
         "alpha0_true": alpha0_true,
         "gamma_sq_errors": sq,
@@ -751,7 +734,7 @@ def monte_carlo_mdl(f: FiberModel, launch_set: LaunchSet, simplex: SimplexSet,
         "gamma_mse": float(sum(sq) / trials),
         "alpha0_mse": float(sum((alpha0 - alpha0_true) ** 2) / trials),
         "mdl_ratio_mean": float(sum(ratio) / trials),
-        "predicted_gamma_mse": _predicted_mse(launch_set, root),
+        "predicted_gamma_mse": predicted,
     }
 
 

@@ -27,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SingularSetError
-from .sets import LaunchSet, gram_from_states
+from .sets import (COND_LIMIT, LaunchSet, conditioned_spectrum,
+                   gram_from_states, read_only)
 
 __all__ = [
     "COND_LIMIT",
@@ -39,11 +40,6 @@ __all__ = [
     "metrics_from_gram",
     "variance_prediction",
 ]
-
-
-# operative numerical-singularity threshold on cond2(G) = kappa(S)^2: the
-# metrics reject a set above it
-COND_LIMIT = 1e14
 
 
 @dataclass(frozen=True)
@@ -78,9 +74,7 @@ _LEAF = 64
 
 @lru_cache(maxsize=None)
 def _lower_mask(m: int) -> np.ndarray:
-    mask = np.tri(m, dtype=bool)
-    mask.flags.writeable = False
-    return mask
+    return read_only(np.tri(m, dtype=bool))
 
 
 def _lower_inverse(low: np.ndarray) -> np.ndarray:
@@ -172,12 +166,7 @@ def metrics_from_gram(g: np.ndarray) -> SetMetrics:
     n = int(round(math.sqrt(m + 1)))
     if n * n - 1 != m or n < 2:
         raise DimensionError(f"Gram size {m} is not n^2-1 for any n >= 2")
-    lam = np.linalg.eigvalsh(g)  # ascending; cond2(G) is inf unless G is PD
-    cond = math.inf if lam[0] <= 0.0 else float(lam[-1] / lam[0])
-    if cond > COND_LIMIT:
-        raise SingularSetError(
-            f"launch set is numerically singular: cond(G) = {cond:.3e} "
-            f"exceeds {COND_LIMIT:.0e}")
+    lam = conditioned_spectrum(g)  # ascending
     xi = _xi(_inverse_factor(g))
     sv = np.sqrt(np.maximum(lam[::-1], 0.0))
     pen = xi / m

@@ -195,7 +195,7 @@ def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> Optimi
 
     on_spheres = config.algorithm == "projected"
     if on_spheres:
-        point0 = np.array(initial.states, dtype=complex)
+        point0 = initial.states
         cost_fn = lambda st: _probe(st, n)
         grad_fn = lambda st, factor: (*gradient_jones(st, n, factor), None)
     else:
@@ -203,7 +203,7 @@ def descend(initial: LaunchSet, config: OptimizerConfig | None = None) -> Optimi
         cost_fn = lambda a: _probe(angles_to_states(a), n)
         grad_fn = lambda a, factor: gradient_hyperspherical(a, n, factor)
 
-    initial_xi = _probe(np.array(initial.states, dtype=complex), n)[0]
+    initial_xi = _probe(initial.states, n)[0]
     point, stop_reason, trajectory = spheres.projected_descent(
         cost_fn, grad_fn, point0,
         grad_tol=1e-9 * m, max_iters=config.max_iters, on_spheres=on_spheres)
@@ -241,7 +241,7 @@ def jitter_set(s: LaunchSet, scale: float = 1e-6, seed: int = 0) -> LaunchSet:
     """
     if scale <= 0:
         raise ConfigError("jitter scale must be positive")
-    states = np.array(s.states, dtype=complex)
+    states = s.states
     noise = complex_normal(rng_for(seed, 202), states.shape)
     bump = spheres.tangent_project(states, noise)
     norms = np.linalg.norm(bump, axis=1, keepdims=True)

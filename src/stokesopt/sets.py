@@ -22,11 +22,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, SearchFailedError
+from .errors import (ConfigError, DimensionError, SearchFailedError,
+                     SingularSetError)
 from .gellmann import check_modes, jones_to_stokes_batch
 from .seeding import complex_normal, rng_for
 
@@ -56,9 +58,16 @@ __all__ = [
 ]
 
 
-@dataclass
+def read_only(values: np.ndarray) -> np.ndarray:
+    """`values`, made read-only in place."""
+    values.flags.writeable = False
+    return values
+
+
+@dataclass(frozen=True)
 class LaunchSet:
-    """n modes and the ordered (n^2-1, n) stack of unit launch states."""
+    """n modes and the ordered (n^2-1, n) stack of unit launch states, kept
+    as a read-only copy, so S^-1 is formed once per set (`stokes_inverse`)."""
 
     n: int
     states: np.ndarray
@@ -67,7 +76,7 @@ class LaunchSet:
 
     def __post_init__(self):
         check_modes(self.n)
-        st = np.asarray(self.states, dtype=complex)
+        st = np.array(self.states, dtype=complex)
         m = self.n * self.n - 1
         if st.shape != (m, self.n):
             raise DimensionError(
@@ -76,7 +85,11 @@ class LaunchSet:
         norms = np.linalg.norm(st, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-10):  # False for NaN too
             raise DimensionError("launch states must be finite and unit norm")
-        self.states = st
+        object.__setattr__(self, "states", read_only(st))
+
+    def __reduce__(self):
+        # an unpickled array comes back writeable: rebuild through __init__
+        return type(self), (self.n, self.states, self.family, self.meta)
 
     @property
     def m(self) -> int:
@@ -86,8 +99,15 @@ class LaunchSet:
         """Coefficient matrix S, rows = Stokes images."""
         return jones_to_stokes_batch(self.states)
 
+    @cached_property
+    def stokes_inverse(self) -> np.ndarray:
+        """S^-1, read-only; SingularSetError when `conditioned_spectrum`
+        rejects the set's Gram, as it does in the metrics."""
+        conditioned_spectrum(gram_from_states(self.states, self.n))
+        return read_only(np.linalg.inv(self.stokes_matrix()))
 
-@dataclass
+
+@dataclass(frozen=True)
 class SimplexSet:
     """An orthonormal basis used for common-mode (tau_0) estimation; its
     family and meta are written by `save_set` as a launch set's are."""
@@ -99,12 +119,15 @@ class SimplexSet:
 
     def __post_init__(self):
         check_modes(self.n)
-        st = np.asarray(self.states, dtype=complex)
+        st = np.array(self.states, dtype=complex)
         if st.shape != (self.n, self.n):
             raise DimensionError(
                 f"simplex for n={self.n} needs shape ({self.n}, {self.n}), "
                 f"got {st.shape}")
-        self.states = check_orthonormal(st, "simplex states")
+        object.__setattr__(
+            self, "states", read_only(check_orthonormal(st, "simplex states")))
+
+    __reduce__ = LaunchSet.__reduce__
 
 
 def check_orthonormal(rows: np.ndarray, what: str) -> np.ndarray:
@@ -153,6 +176,23 @@ def gram_from_states(states: np.ndarray, n: int) -> np.ndarray:
         strip -= t
         strip *= n / (n - 1.0)
     return g
+
+
+# operative numerical-singularity threshold on cond2(G) = kappa(S)^2: the
+# metrics and every estimator reject a set above it
+COND_LIMIT = 1e14
+
+
+def conditioned_spectrum(g: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Gram G, ascending; SingularSetError when cond2(G)
+    exceeds COND_LIMIT (kappa(S) > 1e7), the one singularity rule."""
+    lam = np.linalg.eigvalsh(g)  # cond2(G) is inf unless G is PD
+    cond = math.inf if lam[0] <= 0.0 else float(lam[-1] / lam[0])
+    if cond > COND_LIMIT:
+        raise SingularSetError(
+            f"launch set is numerically singular: cond(G) = {cond:.3e} "
+            f"exceeds {COND_LIMIT:.0e}")
+    return lam
 
 
 # ---------------------------------------------------------------------------

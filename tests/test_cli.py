@@ -31,9 +31,11 @@ from stokesopt.errors import (
     SingularSetError,
 )
 from stokesopt.sets import (
+    LaunchSet,
     load_set,
     mub_penalty,
     mub_set,
+    random_set,
     save_set,
     sic_penalty,
 )
@@ -563,6 +565,25 @@ def test_simulate_joint_noisy_receiver_reruns_byte_identical(capsys):
     assert 0.0 < doc["tau0_rel_error"] < 1.0
 
 
+def test_simulate_joint_rejects_a_near_singular_set(capsys):
+    # a second state 1e-9 away from the first: the single-call estimators
+    # apply the cond(G) rule of the metrics and the Monte Carlos, so a
+    # clean joint run exits 3 instead of reporting an ill-conditioned solve
+    near = np.array(random_set(3, seed=6).states)
+    near[1] = near[0] + 1e-9 * near[1]
+    near[1] /= np.linalg.norm(near[1])
+    save_set(LaunchSet(n=3, states=near), "near3.json")
+    fiber = {"n": 3, "tau0": 4e-12, "md_vector": [1e-12] * 8,
+             "unitary_seed": 7, "pa_coeffs": [0.05, 0.3, 0.18], "z": 1.2}
+    write_scenario("joint.json", mode="joint", seed=0, domega=1e6,
+                   launch_set="near3.json", fiber=fiber,
+                   receiver=CLEAN_RECEIVER)
+    assert run_cli("simulate", "--scenario", "joint.json",
+                   "--out", "jr.json") == 3
+    assert "cond(G)" in capsys.readouterr().err
+    assert not os.path.exists("jr.json")
+
+
 def test_simulate_mdl_noiseless_is_exact(capsys):
     assert run_cli("gen-set", "--family", "random", "--n", "2",
                    "--seed", "2", "--out", "s2.json") == 0
@@ -1063,7 +1084,8 @@ ONE_HOME = ("ProcessPoolExecutor(", "a seed is required",
             "need at least 2 modes", "1j * rng.standard_normal",
             '("analytic", "waveform")',
             "rng.standard_normal((rows, delays.size)) * scales",
-            "max(1, min(workers, jobs))")
+            "max(1, min(workers, jobs))", "flags.writeable = False",
+            "cond > COND_LIMIT", "np.linalg.inv(self.stokes_matrix())")
 
 
 def test_each_rule_is_written_once():

@@ -30,6 +30,7 @@ from stokesopt.gellmann import (
 from stokesopt.metrics import variance_prediction
 from stokesopt.seeding import rng_for
 from stokesopt.sets import (
+    LaunchSet,
     bundled_optimal_set,
     mub_set,
     random_set,
@@ -501,6 +502,19 @@ def test_monte_carlos_reject_a_singular_set_before_drawing(monkeypatch):
         fsim.monte_carlo_md(f, degenerate, noisy_receiver(), 10)
     with pytest.raises(SingularSetError):
         fsim.monte_carlo_mdl(lossy, degenerate, sx, 1e-2, 10)
+
+
+def test_single_calls_reject_the_set_the_monte_carlos_reject():
+    # the near-duplicate set above: one cond(G) rule for every estimator,
+    # so the single calls raise rather than solve an ill-conditioned S
+    near = np.array(random_set(2, seed=1).states)
+    near[1] = near[0] + 1e-9 * near[1]
+    near[1] /= np.linalg.norm(near[1])
+    degenerate = LaunchSet(n=2, states=near)
+    with pytest.raises(SingularSetError, match=r"cond\(G\)"):
+        fsim.reconstruct_md(degenerate, [1 * PS, 2 * PS, 3 * PS], 0.0)
+    with pytest.raises(SingularSetError, match=r"cond\(G\)"):
+        fsim.reconstruct_mdl(degenerate, simplex_set(2), [0.9] * 3, [0.9] * 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

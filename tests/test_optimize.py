@@ -4,6 +4,7 @@ Both gradient forms are held against componentwise central finite
 differences of the off-sphere cost extension; descent endpoints are held
 against the known small-dimension optima and the orthonormal bound.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -236,8 +237,9 @@ def test_gradient_raising_after_an_accepted_step_aborts():
 
 
 def _repeat_first_state(s):
-    s.states[1] = s.states[0]
-    return s
+    # a new set whose second state repeats its first: singular, and still
+    # accepted by the constructor, which checks only the rows' norms
+    return dataclasses.replace(s, states=s.states[[0, 0, *range(2, s.m)]])
 
 
 def _gradient_raising_at_call(monkeypatch, call):
@@ -465,9 +467,7 @@ def test_singular_start_aborts_only_itself(monkeypatch, algorithm):
 
     def repeat_a_state_at_seed_1(n, seed=0):
         s = draw(n, seed=seed)
-        if seed == 1:
-            s.states[1] = s.states[0]
-        return s
+        return _repeat_first_state(s) if seed == 1 else s
 
     monkeypatch.setattr(optimize, "random_set", repeat_a_state_at_seed_1)
     with pytest.raises(SingularSetError):
@@ -479,6 +479,14 @@ def test_singular_start_aborts_only_itself(monkeypatch, algorithm):
     assert bad.iterations_used == 0 and bad.final_xi == math.inf
     assert not any(run.aborted for run in (res.runs[0], res.runs[2]))
     assert res.best_index != 1
+
+
+def test_pooled_final_sets_stay_immutable():
+    # a set crosses the pool pickled; its constructor makes it read-only again
+    final = multi_start(3, starts=2, workers=2).best.final_set
+    assert not final.states.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        final.states[0, 0] = 1.0
 
 
 def test_hyperspherical_round_trip_preserves_cost():

@@ -5,7 +5,9 @@ constructed states; the SIC search is checked against its defining overlap
 property and a finite-difference oracle for its fiducial Jacobian;
 persistence is checked for exact round trips.
 """
+import dataclasses
 import json
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -322,7 +324,7 @@ def test_set_constructors_validate():
     bad = np.ones((3, 2), dtype=complex)
     with pytest.raises(DimensionError):
         LaunchSet(n=2, states=bad)  # not unit norm
-    nan = yang_nolan(2).states
+    nan = np.array(yang_nolan(2).states)  # a writeable copy
     nan[1, 0] = np.nan  # a NaN norm passes any "deviation > tol" test
     with pytest.raises(DimensionError, match="finite"):
         LaunchSet(n=2, states=nan)
@@ -338,6 +340,32 @@ def test_set_types_need_two_modes(build):
     # shapes that match n = 1 are refused by the mode-count rule itself
     with pytest.raises(DimensionError, match="need at least 2 modes, got n=1"):
         build()
+
+
+@pytest.mark.parametrize("build", [lambda: random_set(2, seed=1),
+                                   lambda: simplex_set(2, seed=1)])
+def test_sets_are_immutable(build):
+    s = build()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.family = "other"
+    with pytest.raises(ValueError, match="read-only"):
+        s.states[0, 0] = 1.0
+    # the set keeps a read-only copy; the caller's rows stay writeable
+    rows = np.array(s.states)
+    copy = type(s)(n=s.n, states=rows)
+    assert rows.flags.writeable and not copy.states.flags.writeable
+    # unpickled arrays come back writeable unless rebuilt by the constructor
+    back = pickle.loads(pickle.dumps(s))
+    assert not back.states.flags.writeable
+    assert back.states.tobytes() == s.states.tobytes()
+    assert (back.n, back.family, back.meta) == (s.n, s.family, s.meta)
+
+
+def test_stokes_inverse_is_formed_once():
+    s = random_set(4, seed=3)
+    inverse = s.stokes_inverse
+    assert s.stokes_inverse is inverse and not inverse.flags.writeable
+    assert inverse.tobytes() == np.linalg.inv(s.stokes_matrix()).tobytes()
 
 
 # ---------------------------------------------------------------------------
