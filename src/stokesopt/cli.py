@@ -59,12 +59,14 @@ from .errors import (
     EstimationFailedError,
     SearchFailedError,
     SingularSetError,
+    StokesOptError,
 )
 from .fibersim import ReceiverModel
 from .metrics import metrics, metrics_from_gram
 from .optimize import (
     ALGORITHMS,
     OptimizerConfig,
+    blas_threads,
     descend,
     gradient_check,
     jitter_set,
@@ -188,6 +190,7 @@ class _Outputs:
             "wall_time_s": time.time() - self.started,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "outputs": list(self.written),
+            "blas_threads": blas_threads(),
         }
         if workers is not None:
             doc["workers"] = workers
@@ -361,13 +364,22 @@ def _sweep_row(job) -> list:
             _fmt(mt.condition_number), _fmt(mt.log_volume)]
 
 
+def _scored_row(job):
+    """_sweep_row(job), or the StokesOptError it raised."""
+    try:
+        return _sweep_row(job)
+    except StokesOptError as exc:
+        return exc
+
+
 def cmd_sweep(args) -> int:
     """Tabulate family metrics over mode counts, one row per (family, n).
 
     Rows are scored by `pool_map` over up to STOKES_OPT_THREADS processes
-    (every core when unset) and written in table order once all are back,
-    so the CSV's bytes do not depend on the width; a failing row raises the
-    first error in table order, as the serial loop does.
+    (every core when unset), the largest mode counts first (ties in table
+    order), so each worker's heap grows to its peak once.  They are written
+    in table order once all are back, so the CSV's bytes do not depend on
+    the width; a failing row raises the first error in table order.
     """
     path = args.out or "sweep.csv"
     out = _Outputs(args, path)
@@ -391,7 +403,13 @@ def cmd_sweep(args) -> int:
                 continue
             jobs.append((fam, n, args.seed, args.tol))
     workers = pool_width(_cli_workers(), len(jobs))
-    rows = pool_map(_sweep_row, jobs, workers)
+    largest_first = sorted(jobs, key=lambda job: -job[1])
+    scored = dict(zip(largest_first,
+                      pool_map(_scored_row, largest_first, workers)))
+    rows = [scored[job] for job in jobs]
+    for row in rows:
+        if isinstance(row, StokesOptError):
+            raise row
     out.csv(path, "n,family,xi,penalty_db,condition_number,log_volume", rows)
     out.manifest(workers)
     _print_summary({"rows": len(rows), "skipped": skipped, "out": path})
@@ -693,13 +711,20 @@ _EXIT_CODES = {
 
 
 def main(argv=None) -> int:
+    """Run one command at one BLAS thread (`blas_threads`), so its bytes do
+    not depend on the host's cores; the caller's thread count is restored."""
     args = build_parser().parse_args(argv)
+    before = blas_threads()
+    blas_threads(1)
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items()
                     if isinstance(exc, kind))
+    finally:
+        if before is not None:
+            blas_threads(before)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,12 @@ explicitly built S; tests compare the two routes.  Every xi in the package,
 the optimizer's included, comes from one kernel: the inverse Cholesky factor
 L^-1 of G, with xi = ||L^-1||_F^2.
 
-At large m = n^2 - 1 the kernel holds one m x m buffer per stage beside
-strips and quarter blocks: G is filled a strip of rows at a time, and L^-1
-is written into the Cholesky factor it inverts.
+At large m = n^2 - 1 the kernel holds one m x m buffer beside strips: G is
+filled a strip of rows at a time, and a recursive blocked Cholesky writes
+L^-1 over that G.  The kernel owns the Gram it is handed: `metrics` and
+the optimizer pass the one they just built, and only `metrics_from_gram`,
+whose Gram is its caller's, copies.  eigvalsh's LAPACK copy of G, taken
+first, is the one other m x m buffer.
 """
 from __future__ import annotations
 
@@ -67,9 +70,11 @@ def gram(s: LaunchSet) -> np.ndarray:
     return gram_from_states(s.states, s.n)
 
 
-# blocks this size or smaller are inverted whole by np.linalg.inv; larger
-# ones split in two, so the bulk of the work is matmul
+# blocks this size or smaller are factored and inverted whole by numpy;
+# larger ones split in two, so the bulk of the work is matmul, taken
+# _STRIP rows or columns at a time
 _LEAF = 64
+_STRIP = 256
 
 
 @lru_cache(maxsize=None)
@@ -77,38 +82,49 @@ def _lower_mask(m: int) -> np.ndarray:
     return read_only(np.tri(m, dtype=bool))
 
 
-def _lower_inverse(low: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix, exactly lower triangular.
+def _factor_in_place(g: np.ndarray) -> None:
+    """Overwrite the Gram block `g` with L^-1, L its lower Cholesky factor,
+    reading only the lower triangle of `g` (recursive blocked Cholesky,
+    Gustavson 1997).
 
-    Blocked: with L = [[A, 0], [C, D]], L^-1 = [[A^-1, 0], [-D^-1 C A^-1,
-    D^-1]], written into `low` itself above _LEAF (C A^-1 is taken before
-    C is overwritten), so the caller's L is gone.  LU pivoting in
-    np.linalg.inv leaves rounding (about 1e-15) above the diagonal of a
-    leaf block, which the mask sets back to 0.
+    A leaf is np.linalg.inv of np.linalg.cholesky, masked to lower
+    triangular, since LU pivoting leaves rounding (about 1e-15) above the
+    diagonal.  Above _LEAF, with g = [[A, .], [B, D]]: A becomes
+    X11 = L11^-1, B becomes L21 = B X11^T, the lower triangle of D becomes
+    the Schur complement D - L21 L21^T and then X22, and B becomes
+    X21 = -X22 L21 X11.  X11 and X22 are lower triangular, so each strip
+    of a product reads only the rows or columns it can meet, in an order
+    that has not yet overwritten them; no temporary is bigger than a strip.
     """
-    m = low.shape[0]
+    m = g.shape[0]
     if m <= _LEAF:
-        inv = np.linalg.inv(low)
-        inv *= _lower_mask(m)
-        return inv
-    h = m // 2
-    a, c, d = low[:h, :h], low[h:, :h], low[h:, h:]
-    a[...] = _lower_inverse(a)  # a no-op copy when a was inverted in place
-    ca = c @ a
-    d[...] = _lower_inverse(d)
-    np.matmul(d, ca, out=c)
-    np.negative(c, out=c)
-    return low
+        np.multiply(np.linalg.inv(np.linalg.cholesky(g)), _lower_mask(m),
+                    out=g)
+        return
+    h, s = m // 2, _STRIP
+    a, b, d = g[:h, :h], g[h:, :h], g[h:, h:]
+    g[:h, h:] = 0.0
+    _factor_in_place(a)
+    for lo in reversed(range(0, h, s)):
+        b[:, lo:lo + s] = b[:, :lo + s] @ a[lo:lo + s, :lo + s].T
+    for lo in range(0, m - h, s):
+        d[lo:lo + s, :lo + s] -= b[lo:lo + s] @ b[:lo + s].T
+    _factor_in_place(d)
+    for lo in range(0, h, s):
+        b[:, lo:lo + s] = b[:, lo:] @ a[lo:, lo:lo + s]
+    for lo in reversed(range(0, m - h, s)):
+        np.negative(d[lo:lo + s, :lo + s] @ b[:lo + s], out=b[lo:lo + s])
 
 
 def _inverse_factor(g: np.ndarray) -> np.ndarray:
     """The one Tr(G^-1) kernel: L^-1 for the lower Cholesky factor L of a
-    real Gram G = L L^T, by np.linalg.cholesky and `_lower_inverse`, which
-    overwrites that fresh factor and nothing the caller holds.
+    real Gram G = L L^T, written over `g` itself, which is returned.
 
-    L^-1 is exactly lower triangular: xi = ||L^-1||_F^2 (`_xi`) and
-    G^-1 = L^-T L^-1.  Shared by the metrics and the optimizer loop (no
-    explicit condition check).
+    The caller hands over a Gram it owns: `metrics` and the optimizer's
+    probes pass the one they just built, `metrics_from_gram` a copy of its
+    caller's.  L^-1 is exactly lower triangular: xi = ||L^-1||_F^2 (`_xi`)
+    and G^-1 = L^-T L^-1.  Shared by the metrics and the optimizer loop
+    (no explicit condition check).
 
     Raises
     ------
@@ -116,9 +132,10 @@ def _inverse_factor(g: np.ndarray) -> np.ndarray:
         When G is not numerically positive definite.
     """
     try:
-        return _lower_inverse(np.linalg.cholesky(g))
+        _factor_in_place(g)
     except np.linalg.LinAlgError:
         raise SingularSetError("Gram matrix is not positive definite") from None
+    return g
 
 
 def _xi(linv: np.ndarray) -> float:
@@ -150,14 +167,17 @@ def metrics(s: LaunchSet) -> SetMetrics:
     sqrt(eig_k(G)), kappa(S) and log |det S| to about eps * cond(G)
     relative, the accuracy of xi (Cholesky of G) itself; S is not formed.
     """
-    return metrics_from_gram(gram(s))
+    g = gram(s)
+    lam = conditioned_spectrum(g)
+    return _set_metrics(s.n, lam, _xi(_inverse_factor(g)))
 
 
 def metrics_from_gram(g: np.ndarray) -> SetMetrics:
     """Diagnostics straight from a Gram matrix (no states required).
 
     Serves the closed-form families at mode counts where constructing the
-    states is not practical; sigma_k(S) = sqrt(eig_k(G)) exactly.
+    states is not practical; sigma_k(S) = sqrt(eig_k(G)) exactly.  `g` is
+    left as it was: the kernel factors a copy.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -166,8 +186,13 @@ def metrics_from_gram(g: np.ndarray) -> SetMetrics:
     n = int(round(math.sqrt(m + 1)))
     if n * n - 1 != m or n < 2:
         raise DimensionError(f"Gram size {m} is not n^2-1 for any n >= 2")
-    lam = conditioned_spectrum(g)  # ascending
-    xi = _xi(_inverse_factor(g))
+    lam = conditioned_spectrum(g)
+    return _set_metrics(n, lam, _xi(_inverse_factor(g.copy())))
+
+
+def _set_metrics(n: int, lam: np.ndarray, xi: float) -> SetMetrics:
+    """SetMetrics from the ascending spectrum of G and xi = Tr(G^-1)."""
+    m = lam.size
     sv = np.sqrt(np.maximum(lam[::-1], 0.0))
     pen = xi / m
     return SetMetrics(

@@ -18,8 +18,9 @@ algorithms then project or chain-rule that gradient into their own
 coordinates.
 
 Every cost and gradient goes through the one kernel of `metrics`, the
-inverse Cholesky factor L^-1 of that Gram (numpy Cholesky, then a blocked
-triangular inverse), with xi = ||L^-1||_F^2, so the optimizer and `metrics` agree to the last bit.
+inverse Cholesky factor L^-1 of that Gram (a recursive blocked Cholesky
+that writes L^-1 over the probe's own Gram), with xi = ||L^-1||_F^2, so the
+optimizer and `metrics` agree to the last bit.
 Each line-search probe returns its L^-1 along with its cost, and the Armijo
 search hands the accepted probe's factor to the gradient at that point, so
 each iteration factorizes once per probe and never again for its gradient.
@@ -28,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -116,7 +119,8 @@ class MultiStartResult:
 
 
 def _factor(states: np.ndarray, n: int) -> np.ndarray:
-    """L^-1 of the states' Gram; raises SingularSetError when not SPD."""
+    """L^-1 of the states' Gram, written over that fresh Gram; raises
+    SingularSetError when not SPD."""
     return _inverse_factor(gram_from_states(states, n))
 
 
@@ -252,6 +256,38 @@ def jitter_set(s: LaunchSet, scale: float = 1e-6, seed: int = 0) -> LaunchSet:
     return LaunchSet(n=s.n, states=jittered, family=s.family, meta=meta)
 
 
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS,
+    through ctypes; None under any other BLAS."""
+    import ctypes
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(str(path))
+        try:
+            return (lib.scipy_openblas_get_num_threads64_,
+                    lib.scipy_openblas_set_num_threads64_)
+        except AttributeError:
+            continue
+    return None
+
+
+def blas_threads(count: int | None = None) -> int | None:
+    """The thread count of numpy's OpenBLAS, after setting it to `count`
+    when one is given; None, with nothing set, under any other BLAS.
+
+    BLAS products round differently at different thread counts, so the
+    CLI's commands and the pool's workers run at one thread.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        return None
+    get, set_ = calls
+    if count is not None:
+        set_(count)
+    return get()
+
+
 def pool_width(workers: int, jobs: int) -> int:
     """The width `pool_map` runs `jobs` jobs at: `workers`, but at least one
     process and no more than there are jobs."""
@@ -260,13 +296,14 @@ def pool_width(workers: int, jobs: int) -> int:
 
 def pool_map(fn, jobs: list, workers: int) -> list:
     """[fn(job) for job in jobs], in this process at width 1, else over the
-    package's one pool of pool_width(workers, len(jobs)) processes (fn and
-    jobs must pickle)."""
+    package's one pool of pool_width(workers, len(jobs)) processes, each at
+    one BLAS thread (fn and jobs must pickle); jobs start in list order."""
     workers = pool_width(workers, len(jobs))
     if workers == 1:
         return [fn(job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=blas_threads,
+                             initargs=(1,)) as pool:
         return list(pool.map(fn, jobs))
 
 

@@ -463,6 +463,54 @@ def test_sweep_failing_row_fails_alike_at_any_width(capsys, monkeypatch):
     assert copy.residual == failed.value.residual > 0.0
 
 
+def test_sweep_scores_its_largest_rows_first(monkeypatch):
+    # the pool gets the jobs in descending n, ties in table order; the CSV
+    # keeps table order
+    handed = []
+
+    def recording_pool_map(fn, jobs, workers):
+        handed.extend(jobs)
+        return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(cli, "pool_map", recording_pool_map)
+    assert run_cli("sweep", "--families", "yang,mub,sic-analytic",
+                   "--n-list", "2-5", "--out", "sw.csv") == 0
+    assert [(fam, n) for fam, n, _, _ in handed] == [
+        ("yang", 5), ("mub", 5), ("sic-analytic", 5),
+        ("yang", 4), ("sic-analytic", 4),
+        ("yang", 3), ("mub", 3), ("sic-analytic", 3),
+        ("yang", 2), ("mub", 2), ("sic-analytic", 2)]
+    _, _, rows = read_csv("sw.csv")
+    assert [(r[1], r[0]) for r in rows] == [
+        ("yang", "2"), ("yang", "3"), ("yang", "4"), ("yang", "5"),
+        ("mub", "2"), ("mub", "3"), ("mub", "5"),
+        ("sic-analytic", "2"), ("sic-analytic", "3"),
+        ("sic-analytic", "4"), ("sic-analytic", "5")]
+
+
+def test_sweep_bytes_do_not_depend_on_blas_threads(capsys, monkeypatch):
+    # each command, and each pool worker, runs at one BLAS thread, whatever
+    # the caller's count, which main leaves as it found it
+    before = optimize.blas_threads()
+    if before is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    written = set()
+    try:
+        for threads in (1, 2):
+            optimize.blas_threads(threads)
+            for width in (1, 2):
+                monkeypatch.setenv("STOKES_OPT_THREADS", str(width))
+                assert run_cli("sweep", "--families",
+                               "yang,random,sic-analytic,mub-analytic",
+                               "--n-list", "2-12", "--out", "sw.csv") == 0
+                assert optimize.blas_threads() == threads
+                assert read_json("sw.manifest.json")["blas_threads"] == 1
+                written.add(Path("sw.csv").read_bytes())
+    finally:
+        optimize.blas_threads(before)
+    assert len(written) == 1
+
+
 def test_optimize_manifest_records_its_pool_width(monkeypatch):
     argv = ("optimize", "--n", "3", "--algo", "projected",
             "--starts", "2", "--max-iter", "500", "--out", "w")
@@ -1085,7 +1133,8 @@ ONE_HOME = ("ProcessPoolExecutor(", "a seed is required",
             '("analytic", "waveform")',
             "rng.standard_normal((rows, delays.size)) * scales",
             "max(1, min(workers, jobs))", "flags.writeable = False",
-            "cond > COND_LIMIT", "np.linalg.inv(self.stokes_matrix())")
+            "cond > COND_LIMIT", "np.linalg.inv(self.stokes_matrix())",
+            "np.linalg.cholesky(", "scipy_openblas_set_num_threads64_")
 
 
 def test_each_rule_is_written_once():

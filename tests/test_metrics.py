@@ -24,6 +24,7 @@ from stokesopt.metrics import (
     penalty_db,
     variance_prediction,
     _LEAF,
+    _STRIP,
     _inverse_factor,
     _xi,
 )
@@ -152,7 +153,9 @@ def test_thirty_mode_pairwise_family_penalty():
 def test_metrics_from_gram_matches_metrics():
     s = mub_set(3)
     a = metrics(s)
-    b = metrics_from_gram(gram(s))
+    g = gram(s)
+    b = metrics_from_gram(g)
+    assert np.array_equal(g, gram(s))  # the caller's Gram is left alone
     assert isinstance(b, SetMetrics)
     assert (b.n, b.m) == (a.n, a.m)
     np.testing.assert_allclose(b.xi, a.xi, rtol=1e-10)
@@ -203,49 +206,60 @@ def test_xi_cholesky_matches_cho_factor_route_bitwise(lapack_inverse_factor):
         _inverse_factor(-np.eye(3))
 
 
-def _copying_lower_inverse(low):
-    """The blocked triangular inverse into fresh arrays, `low` untouched."""
-    m = low.shape[0]
+def _copying_factor(g):
+    """The kernel's recursion into fresh arrays, `g` untouched: the same
+    products of the same strips, each read before the kernel overwrites it."""
+    m = g.shape[0]
     if m <= _LEAF:
-        inv = np.linalg.inv(low)
-        inv *= np.tri(m, dtype=bool)
-        return inv
-    h = m // 2
-    a_inv = _copying_lower_inverse(low[:h, :h])
-    d_inv = _copying_lower_inverse(low[h:, h:])
-    inv = np.zeros_like(low)
-    inv[:h, :h] = a_inv
-    inv[h:, h:] = d_inv
-    inv[h:, :h] = -(d_inv @ (low[h:, :h] @ a_inv))
+        return np.linalg.inv(np.linalg.cholesky(g)) * np.tri(m, dtype=bool)
+    h, s = m // 2, _STRIP
+    b = g[h:, :h]
+    x11 = _copying_factor(g[:h, :h])
+    l21 = np.empty_like(b)
+    for lo in reversed(range(0, h, s)):
+        l21[:, lo:lo + s] = b[:, :lo + s] @ x11[lo:lo + s, :lo + s].T
+    schur = np.array(g[h:, h:])
+    for lo in range(0, m - h, s):
+        schur[lo:lo + s, :lo + s] -= l21[lo:lo + s] @ l21[:lo + s].T
+    x22 = _copying_factor(schur)
+    t = np.empty_like(b)
+    for lo in range(0, h, s):
+        t[:, lo:lo + s] = l21[:, lo:] @ x11[lo:, lo:lo + s]
+    inv = np.zeros_like(g)
+    inv[:h, :h] = x11
+    inv[h:, h:] = x22
+    for lo in reversed(range(0, m - h, s)):
+        inv[h + lo:h + lo + s, :h] = -(x22[lo:lo + s, :lo + s] @ t[:lo + s])
     return inv
 
 
 @pytest.mark.parametrize("n", [9, 10, 30])
 def test_inverse_factor_in_place_matches_copying_recursion_bitwise(n):
     # m = 80, 99, 899: one split into two leaves, a split with leaves of
-    # uneven size, and four levels of splits
+    # uneven size, and four levels of splits, the top one over two strips
     g = gram(random_set(n, seed=n))
-    low = np.linalg.cholesky(g)
-    assert (_inverse_factor(g).tobytes()
-            == _copying_lower_inverse(low).tobytes())
+    want = _copying_factor(g)
+    linv = _inverse_factor(g)
+    assert linv is g
+    assert linv.tobytes() == want.tobytes()
 
 
-def test_inverse_factor_peak_memory_is_its_factor_and_quarter_blocks():
-    # L^-1 is written into the Cholesky factor: at m = 399 the traced peak
-    # is that factor plus quarter-size blocks, under two m x m arrays.
+def test_inverse_factor_peak_memory_is_strips_only():
+    # L^-1 is written over the Gram itself: at m = 399 the traced peak is a
+    # strip product and the leaves' buffers, under one _STRIP x m strip.
     # numpy's LAPACK wrappers copy their operands into buffers from plain
     # malloc, which tracemalloc does not see
     n = 20
     m = n * n - 1
     g = gram(random_set(n, seed=0))
-    _inverse_factor(g)
+    _inverse_factor(g.copy())
     tracemalloc.start()
     try:
         _inverse_factor(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * m * m
+    assert peak < 8 * _STRIP * m
 
 
 def test_inverse_factor_matches_cho_solve_reference():
@@ -274,21 +288,23 @@ def test_inverse_factor_matches_mpmath_reference(mp_inverse,
     # Gram.  Bounds, met by the package kernel and by LAPACK potrf/trtri
     # alike: |xi - ref| <= k eps cond(G) ref with k = 1, and every entry of
     # G^-1 within k eps cond(G) max|G^-1| with k = 4.  The largest k
-    # measured over these 24 sets (cond(G) up to 3.6e5) is 0.23 and 1.07.
+    # measured over these 25 sets (cond(G) up to 1.0e6) is 0.23 and 1.07;
+    # n = 9 (m = 80, cond(G) 1.0e6, k up to 0.004) takes the blocked
+    # recursion past one leaf.
     eps = np.finfo(float).eps
-    for n in range(2, 6):
-        for seed in range(6):
-            s = random_set(n, seed=seed)
-            g = gram(s)
-            ref = mp_inverse(g)
-            ref_xi = math.fsum(np.diag(ref))
-            cond = np.linalg.cond(g)
-            linv = _inverse_factor(g)
-            assert not np.any(np.triu(linv, 1))
-            assert _xi(linv) == metrics(s).xi
-            for factor in (linv, lapack_inverse_factor(g)):
-                assert abs(_xi(factor) - ref_xi) <= eps * cond * ref_xi
-                assert (np.abs(factor.T @ factor - ref).max()
-                        <= 4.0 * eps * cond * np.abs(ref).max()), (n, seed)
+    cases = [(n, seed) for n in range(2, 6) for seed in range(6)] + [(9, 0)]
+    for n, seed in cases:
+        s = random_set(n, seed=seed)
+        g = gram(s)
+        ref = mp_inverse(g)
+        ref_xi = math.fsum(np.diag(ref))
+        cond = np.linalg.cond(g)
+        linv = _inverse_factor(g.copy())  # the kernel overwrites g
+        assert not np.any(np.triu(linv, 1))
+        assert _xi(linv) == metrics(s).xi
+        for factor in (linv, lapack_inverse_factor(g)):
+            assert abs(_xi(factor) - ref_xi) <= eps * cond * ref_xi
+            assert (np.abs(factor.T @ factor - ref).max()
+                    <= 4.0 * eps * cond * np.abs(ref).max()), (n, seed)
     with pytest.raises(SingularSetError, match="not positive definite"):
         _inverse_factor(-np.eye(3))

@@ -524,7 +524,7 @@ def test_inverse_gram_matches_scipy_cholesky_wrappers_bitwise():
     for n, seed in ((2, 1), (4, 2), (6, 3)):
         states = np.array(random_set(n, seed=seed).states)
         g = gram_from_states(states, n)
-        kernel = _inverse_factor(g)
+        kernel = _inverse_factor(g.copy())  # the kernel overwrites g
         linv = _factor(states, n)
         assert linv.tobytes() == kernel.tobytes()
         assert (linv.T @ linv).tobytes() == (kernel.T @ kernel).tobytes()
